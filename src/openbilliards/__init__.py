@@ -8,7 +8,6 @@ from .geometry import (
     Table,
     build_table,
     cut_stadium_components,
-    hole_measure,
     locate,
     make_hole,
     regular_flower_components,
@@ -34,7 +33,7 @@ from .dynamics import (
     step_batch,
     tangent_map,
 )
-from .measure import SrbSampler, invariance_defect, ks_statistic, sample_srb
+from .measure import SrbSampler, invariance_defect, ks_statistic
 from .cones import Cone, cone_at, cone_invariance_scan, in_cone, slope_of
 from .inducing import (
     ExtendedPhasePoint,

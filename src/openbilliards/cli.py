@@ -18,8 +18,8 @@ import argparse
 import csv
 import json
 import sys
-import time
 from pathlib import Path
+from time import perf_counter
 
 import numpy as np
 import yaml
@@ -27,10 +27,10 @@ import yaml
 from . import __version__
 from .cones import cone_invariance_scan
 from .geometry import GeometryError, build_table, make_hole, validate_table
-from .inducing import kac_defect, return_tail
+from .inducing import base_returns, kac_defect
 from .measure import invariance_defect
 from .openstats import (
-    collect_hitting,
+    collect_hitting_family,
     count_statistics,
     ks_exp1,
     quasi_section_defect,
@@ -55,6 +55,8 @@ CHECK_DEFAULTS = {
     "short_return_hits": 20000,
     "quasi_orbits": 2000,
 }
+
+DEFAULT_T_MAX = 50.0
 
 
 class ConfigError(ValueError):
@@ -98,8 +100,12 @@ def _config_errors(cfg):
             errors.append("hole needs center_s and radii")
         else:
             radii = hole["radii"]
+            if not _is_number(hole["center_s"]):
+                errors.append("hole.center_s must be a number")
             if not isinstance(radii, (list, tuple)) or not radii:
                 errors.append("hole.radii must be a non-empty list")
+            elif not all(_is_number(r) for r in radii):
+                errors.append("hole radii must be numbers")
             elif any(r <= 0 for r in radii):
                 errors.append("hole radii must be positive")
             elif list(radii) != sorted(radii, reverse=True) \
@@ -109,18 +115,35 @@ def _config_errors(cfg):
     if run is not None:
         if "seed" not in run:
             errors.append("run.seed is required (no wall-clock default)")
+        elif _seed_error(run["seed"]):
+            errors.append(_seed_error(run["seed"]))
         if run.get("n_orbits", 1) < 1:
             errors.append("run.n_orbits must be >= 1")
+        t_max = run.get("t_max", DEFAULT_T_MAX)
         for pair in run.get("intervals", []):
             if len(pair) != 2 or not (0 <= pair[0] < pair[1]):
                 errors.append(f"bad interval {pair}")
+            elif _is_number(t_max) and pair[1] > t_max:
+                errors.append(f"interval {pair} ends past run.t_max {t_max}")
     return errors
+
+
+def _is_number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _seed_error(seed):
+    """Why seed cannot key the Philox generator, or None."""
+    if not (isinstance(seed, int) and not isinstance(seed, bool)
+            and 0 <= seed < 2 ** 64):
+        return f"run.seed must be an integer in [0, 2**64), got {seed!r}"
 
 
 def _hole_errors(table, cfg):
     errors = []
     hole = cfg.get("hole")
-    if isinstance(hole, dict) and "radii" in hole and "center_s" in hole:
+    # a malformed hole section is already reported by _config_errors
+    if hole is not None and not _config_errors({"hole": hole}):
         for r in hole["radii"]:
             try:
                 make_hole(table, float(hole["center_s"]), float(r))
@@ -129,19 +152,14 @@ def _hole_errors(table, cfg):
     return errors
 
 
-def cmd_validate(args):
-    try:
-        cfg = load_config(args.config)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    errors = _config_errors(cfg)
-    violations = []
+def _validated_table(cfg):
+    """The table of cfg, or None after reporting every schema, geometry and
+    hole problem on stderr."""
+    errors, violations, table = _config_errors(cfg), [], None
     try:
         table = build_from_config(cfg)
     except (ConfigError, GeometryError) as e:
         errors.append(f"table: {e}")
-        table = None
     if table is not None:
         violations = validate_table(table)
         errors.extend(_hole_errors(table, cfg))
@@ -149,7 +167,16 @@ def cmd_validate(args):
         print(f"violation: {v}", file=sys.stderr)
     for e in errors:
         print(f"error: {e}", file=sys.stderr)
-    if errors or violations:
+    return None if errors or violations else table
+
+
+def cmd_validate(args):
+    try:
+        cfg = load_config(args.config)
+    except ConfigError as e:
+        print(f"config error: {e}", file=sys.stderr)
+        return 2
+    if _validated_table(cfg) is None:
         return 2
     print("ok")
     return 0
@@ -198,36 +225,47 @@ def _seed_of(cfg, args):
     seed = args.seed if args.seed is not None else run.get("seed")
     if seed is None:
         raise ConfigError("run.seed is required (or pass --seed)")
-    return int(seed)
+    if _seed_error(seed):
+        raise ConfigError(_seed_error(seed))
+    return seed
+
+
+def _cones_result(table, n_points, n_vectors, seed):
+    rep = cone_invariance_scan(table, n_points, n_vectors, seed)
+    return {
+        "n_pairs": rep.n_pairs, "violations": rep.n_violations,
+        "worst_margin": rep.worst_margin,
+        "vertical_min_margin": rep.vertical_min_margin,
+        "transversality_violations": rep.transversality_violations,
+        "censored_fraction": rep.censored_fraction,
+    }
+
+
+def _invariants_result(table, n_samples, seed):
+    rep = invariance_defect(table, n_samples, seed)
+    return {"ks_phi": rep.ks_phi, "ks_s": rep.ks_s, "n": rep.n,
+            "censored_fraction": rep.censored_fraction}
+
+
+def _kac_result(table, n_samples, cap, seed):
+    rep = kac_defect(table, n_samples, cap, seed)
+    return {"defect": rep.defect, "mu_x": rep.mu_x, "mean_R": rep.mean_R,
+            "censored_fraction": rep.censored_fraction}
 
 
 def cmd_run(args):
-    try:
-        cfg = load_config(args.config)
-        errors = _config_errors(cfg)
-        if errors:
-            raise ConfigError("; ".join(errors))
-        table = build_from_config(cfg)
-        violations = validate_table(table)
-        if violations:
-            for v in violations:
-                print(f"violation: {v}", file=sys.stderr)
-            raise ConfigError("geometry failed validation")
-        hole_errors = _hole_errors(table, cfg)
-        if hole_errors:
-            raise ConfigError("; ".join(hole_errors))
-        seed = _seed_of(cfg, args)
-        out = _out_dir(cfg, args)
-    except (ConfigError, GeometryError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    cfg = load_config(args.config)
+    table = _validated_table(cfg)
+    if table is None:
         return 2
+    seed, out = _seed_of(cfg, args), _out_dir(cfg, args)
 
     run = cfg.get("run", {})
     checks = cfg.get("checks", {})
     budgets = {**CHECK_DEFAULTS, **cfg.get("budgets", {})}
     thresholds = {**DEFAULT_THRESHOLDS, **cfg.get("thresholds", {})}
     n_orbits = int(run.get("n_orbits", 1000))
-    t_max = float(run.get("t_max", 50.0))
+    t_max = float(run.get("t_max", DEFAULT_T_MAX))
     intervals = [tuple(map(float, p)) for p in run.get("intervals", [])]
 
     _manifest(out, cfg, table, seed)
@@ -237,14 +275,16 @@ def cmd_run(args):
     hole_spec = cfg.get("hole")
     if hole_spec:
         center = float(hole_spec["center_s"])
-        for r in hole_spec["radii"]:
-            r = float(r)
+        radii = [float(r) for r in hole_spec["radii"]]
+        holes = [make_hole(table, center, r) for r in radii]
+        t0 = perf_counter()
+        family = collect_hitting_family(table, holes, n_orbits, t_max, seed)
+        summary["march_s"] = perf_counter() - t0
+        for r, hole, data in zip(radii, holes, family):
+            t0 = perf_counter()
             tag = f"r_{r:g}"
             rdir = out / tag
             rdir.mkdir(exist_ok=True)
-            t0 = time.time()
-            hole = make_hole(table, center, r)
-            data = collect_hitting(table, hole, n_orbits, t_max, seed)
             fh = data.first_hits()
             eligible = ~data.censored_before_first_hit()
             finite = fh[eligible][np.isfinite(fh[eligible])]
@@ -264,7 +304,7 @@ def cmd_run(args):
             entry = {
                 "mu": hole.measure, "ks_exp1": ks,
                 "survival_at_1": float(sc.empirical[np.argmin(np.abs(grid - 1.0))]),
-                "censored_fraction": float((data.censor_step <= data.horizon).mean()),
+                "censored_fraction": data.censored_fraction,
                 "excluded_before_first_hit": sc.excluded_fraction,
                 "n_orbits": n_orbits,
             }
@@ -298,37 +338,19 @@ def cmd_run(args):
                     "n_excursions": q.n_excursions_with_hit,
                 }
             _write_json(rdir / "diagnostics.json", diag)
-            entry["runtime_s"] = time.time() - t0
+            entry["runtime_s"] = perf_counter() - t0
             summary["radii"].append(r)
             summary["per_radius"][tag] = entry
 
-    if checks.get("cones"):
-        t0 = time.time()
-        rep = cone_invariance_scan(table, budgets["cone_points"],
-                                   budgets["cone_vectors"], seed)
-        summary["checks"]["cones"] = {
-            "n_pairs": rep.n_pairs, "violations": rep.n_violations,
-            "worst_margin": rep.worst_margin,
-            "vertical_min_margin": rep.vertical_min_margin,
-            "runtime_s": time.time() - t0,
-        }
-    if checks.get("invariance"):
-        t0 = time.time()
-        rep = invariance_defect(table, budgets["invariance_samples"], seed)
-        summary["checks"]["invariance"] = {
-            "ks_phi": rep.ks_phi, "ks_s": rep.ks_s,
-            "censored_fraction": rep.censored_fraction,
-            "runtime_s": time.time() - t0,
-        }
-    if checks.get("kac"):
-        t0 = time.time()
-        rep = kac_defect(table, budgets["kac_samples"],
-                         budgets["return_cap"], seed)
-        summary["checks"]["kac"] = {
-            "defect": rep.defect, "mu_x": rep.mu_x, "mean_R": rep.mean_R,
-            "censored_fraction": rep.censored_fraction,
-            "runtime_s": time.time() - t0,
-        }
+    for name, result, *budget in (
+            ("cones", _cones_result, "cone_points", "cone_vectors"),
+            ("invariance", _invariants_result, "invariance_samples"),
+            ("kac", _kac_result, "kac_samples", "return_cap")):
+        if checks.get(name):
+            t0 = perf_counter()
+            entry = result(table, *(budgets[b] for b in budget), seed)
+            entry["runtime_s"] = perf_counter() - t0
+            summary["checks"][name] = entry
 
     _write_json(out / "summary.json", summary)
 
@@ -367,62 +389,37 @@ def _enforce(summary, thresholds):
 
 
 def cmd_check(args):
-    try:
-        cfg = load_config(args.config)
-        table = build_from_config(cfg)
-        seed = _seed_of(cfg, args)
-        out = _out_dir(cfg, args)
-    except (ConfigError, GeometryError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    cfg = load_config(args.config)
+    table = build_from_config(cfg)
+    seed, out = _seed_of(cfg, args), _out_dir(cfg, args)
     budgets = {**CHECK_DEFAULTS, **cfg.get("budgets", {})}
     thresholds = {**DEFAULT_THRESHOLDS, **cfg.get("thresholds", {})}
     if args.what == "cones":
-        rep = cone_invariance_scan(
+        result = _cones_result(
             table, args.points or budgets["cone_points"],
             args.vectors or budgets["cone_vectors"], seed)
-        result = {
-            "n_pairs": rep.n_pairs, "violations": rep.n_violations,
-            "worst_margin": rep.worst_margin,
-            "vertical_min_margin": rep.vertical_min_margin,
-            "transversality_violations": rep.transversality_violations,
-            "censored_fraction": rep.censored_fraction,
-        }
-        _write_json(out / "cones.json", result)
-        print(json.dumps(result, sort_keys=True))
-        if args.enforce and rep.n_violations > thresholds["cone_violations"]:
-            return 3
-        return 0
-    if args.what == "invariants":
-        rep = invariance_defect(
+        breach = result["violations"] > thresholds["cone_violations"]
+    else:
+        result = _invariants_result(
             table, args.samples or budgets["invariance_samples"], seed)
-        result = {"ks_phi": rep.ks_phi, "ks_s": rep.ks_s, "n": rep.n,
-                  "censored_fraction": rep.censored_fraction}
-        _write_json(out / "invariants.json", result)
-        print(json.dumps(result, sort_keys=True))
-        if args.enforce and max(rep.ks_phi, rep.ks_s) >= thresholds["invariance"]:
-            return 3
-        return 0
-    print(f"error: unknown check {args.what!r}", file=sys.stderr)
-    return 2
+        breach = max(result["ks_phi"], result["ks_s"]) \
+            >= thresholds["invariance"]
+    _write_json(out / f"{args.what}.json", result)
+    print(json.dumps(result, sort_keys=True))
+    return 3 if args.enforce and breach else 0
 
 
 def cmd_inducing(args):
-    try:
-        cfg = load_config(args.config)
-        table = build_from_config(cfg)
-        seed = _seed_of(cfg, args)
-        out = _out_dir(cfg, args)
-    except (ConfigError, GeometryError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    cfg = load_config(args.config)
+    table = build_from_config(cfg)
+    seed, out = _seed_of(cfg, args), _out_dir(cfg, args)
     budgets = {**CHECK_DEFAULTS, **cfg.get("budgets", {})}
     samples = args.samples or budgets["kac_samples"]
     cap = args.cap or budgets["return_cap"]
-    tail = return_tail(table, samples, cap, seed)
+    returns = base_returns(table, samples, cap, seed)
+    tail, kac = returns.tail(), returns.kac()
     _write_csv(out / "return_tail.csv", ["n", "survival", "count"],
                zip(tail.n, (_fmt(v) for v in tail.survival), tail.count))
-    kac = kac_defect(table, samples, cap, seed)
     result = {
         "kac_defect": kac.defect, "mu_x": kac.mu_x, "mean_R": kac.mean_R,
         "n_base": kac.n_base, "censored_fraction": kac.censored_fraction,
@@ -467,15 +464,13 @@ def main(argv=None):
     p_ind.add_argument("--cap", type=int)
 
     args = parser.parse_args(argv)
-    if args.command == "validate":
-        return cmd_validate(args)
-    if args.command == "run":
-        return cmd_run(args)
-    if args.command == "check":
-        return cmd_check(args)
-    if args.command == "inducing":
-        return cmd_inducing(args)
-    return 2
+    command = {"validate": cmd_validate, "run": cmd_run, "check": cmd_check,
+               "inducing": cmd_inducing}[args.command]
+    try:
+        return command(args)
+    except (ConfigError, GeometryError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

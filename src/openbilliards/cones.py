@@ -69,17 +69,14 @@ class ConeScanReport:
 
 
 def _unstable_bounds(K):
-    lo = K.copy()
-    hi = np.where(K < 0, 0.0, np.inf)
-    return lo, hi
+    return K.copy(), np.where(K < 0, 0.0, np.inf)
 
 
-def _start_slopes(K, lo, hi, n_vectors):
+def _start_slopes(K, n_vectors):
     """Deterministic fan of slopes per point: both boundaries + interior."""
-    n = K.size
-    slopes = np.empty((n_vectors, n))
-    vertical = np.zeros((n_vectors, n), dtype=bool)
-    slopes[0] = lo
+    slopes = np.empty((n_vectors, K.size))
+    vertical = np.zeros((n_vectors, K.size), dtype=bool)
+    slopes[0] = K                  # the lower cone edge
     if n_vectors > 1:
         # top boundary: vertical for dispersing/flat hosts, slope 0 focusing
         vertical[-1] = ~(K < 0)
@@ -94,16 +91,18 @@ def _start_slopes(K, lo, hi, n_vectors):
 
 
 def _scan_once(table, s, phi, n_vectors, tol):
-    """Forward unstable-cone invariance over one point ensemble."""
+    """Forward unstable-cone invariance over one point ensemble.
+
+    Returns the tallies and the uncensored images (s1, phi1) of the points.
+    """
     K0 = locate_batch(table, s)["K"]
     M, (s1, phi1, tau, comp, flag) = tangent_map_batch(table, s, phi)
     ok = flag == FLAG_OK
     K0, M, s1, phi1, tau = K0[ok], M[ok], s1[ok], phi1[ok], tau[ok]
     K1 = locate_batch(table, s1)["K"]
-    lo0, hi0 = _unstable_bounds(K0)
     lo1, hi1 = _unstable_bounds(K1)
 
-    slopes, vertical = _start_slopes(K0, lo0, hi0, n_vectors)
+    slopes, vertical = _start_slopes(K0, n_vectors)
     dq = np.where(vertical, 0.0, 1.0)
     dphi = np.where(vertical, 1.0, slopes)
     dq1 = M[:, 0, 0] * dq + M[:, 0, 1] * dphi
@@ -141,7 +140,7 @@ def _scan_once(table, s, phi, n_vectors, tol):
         "trans": int(trans_bad),
         "censored": int((~ok).sum()),
         "total": int(ok.size),
-    }
+    }, s1, phi1
 
 
 def cone_invariance_scan(table, n_points, n_vectors, seed, tol=1e-12):
@@ -152,14 +151,11 @@ def cone_invariance_scan(table, n_points, n_vectors, seed, tol=1e-12):
     stable-cone check under the inverse map).  Violations are counted with a
     slope tolerance scaled by the magnitudes involved.
     """
-    sampler = SrbSampler(table, seed)
-    s, phi = sampler.sample(n_points)
-    fwd = _scan_once(table, s, phi, n_vectors, tol)
+    s, phi = SrbSampler(table, seed).sample(n_points)
+    fwd, s1, phi1 = _scan_once(table, s, phi, n_vectors, tol)
 
     # stable side: unstable invariance at the reflected image ensemble
-    _, (s1, phi1, _, _, flag) = tangent_map_batch(table, s, phi)
-    ok = flag == FLAG_OK
-    rev = _scan_once(table, s1[ok], -phi1[ok], n_vectors, tol)
+    rev, _, _ = _scan_once(table, s1, -phi1, n_vectors, tol)
 
     total = fwd["total"] + rev["total"]
     censored = fwd["censored"] + rev["censored"]

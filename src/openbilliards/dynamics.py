@@ -76,18 +76,6 @@ def flight_ray(table, s, phi):
     return loc, dx, dy
 
 
-def _near_junction(bg, s):
-    js = bg.junction_s
-    if not js.size:
-        return np.zeros(np.shape(s), dtype=bool)
-    j = np.searchsorted(js, s)
-    d = np.minimum(np.abs(s - js[np.maximum(j - 1, 0)]),
-                   np.abs(js[np.minimum(j, js.size - 1)] - s))
-    d = np.minimum(d, np.abs(s - js[0] - bg.perimeter))
-    d = np.minimum(d, np.abs(js[-1] + bg.perimeter - s))
-    return d <= bg.corner_tol
-
-
 def _arc_progress(bg, comp, theta):
     """Within-arc arclength from the impact angle, clamped to the span."""
     raw = (bg.tdir[comp] * (theta - bg.theta_ref[comp])) % (2.0 * math.pi)
@@ -275,11 +263,49 @@ def step_batch(table, s, phi, unfold_max_cells=UNFOLD_MAX_CELLS):
 
     flag = np.zeros(s.shape, dtype=np.int8)
     flag[np.abs(phi1) > math.pi / 2 - EPS_GRAZE] = FLAG_GRAZING
-    flag[_near_junction(bg, s1)] = FLAG_CORNER
+    flag[bg.near_junction(s1)] = FLAG_CORNER
     flag[lost] = FLAG_LOST
     if overflow is not None:
         flag[overflow] = FLAG_UNFOLD
     return s1, phi1, tau, comp, flag
+
+
+def march(table, s, phi, horizon, observe, comp=None,
+          unfold_max_cells=UNFOLD_MAX_CELLS):
+    """The one orbit loop: step lanes (s, phi) up to horizon collisions.
+
+    After step j, observe(j, lanes, s, phi, comp, prev) sees the lanes still
+    out (original indices, new coordinates, component just hit, the one hit
+    before; comp seeds that history) and may return a boolean mask: lanes
+    where it is False retire.  A flagged impact stops its lane unobserved.
+
+    Returns (censor_step, censor_kind, lanes): per lane the step and flag of
+    its censoring (horizon + 1 and FLAG_OK when none), and the lanes neither
+    censored nor retired.
+    """
+    s = np.asarray(s, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    prev = locate_batch(table, s)["component"] if comp is None else comp
+    censor_step = np.full(s.size, horizon + 1, dtype=np.int64)
+    censor_kind = np.zeros(s.size, dtype=np.int8)
+    lanes = np.arange(s.size)
+    for j in range(1, horizon + 1):
+        if lanes.size == 0:
+            break
+        s, phi, _, now, flag = step_batch(
+            table, s, phi, unfold_max_cells=unfold_max_cells)
+        ok = flag == FLAG_OK
+        if not ok.all():
+            censor_step[lanes[~ok]] = j
+            censor_kind[lanes[~ok]] = flag[~ok]
+            lanes, s, phi, now, prev = lanes[ok], s[ok], phi[ok], now[ok], prev[ok]
+            if lanes.size == 0:
+                break
+        keep = observe(j, lanes, s, phi, now, prev)
+        if keep is not None:
+            lanes, s, phi, now = lanes[keep], s[keep], phi[keep], now[keep]
+        prev = now
+    return censor_step, censor_kind, lanes
 
 
 def next_collision(table, x, unfold_max_cells=UNFOLD_MAX_CELLS):
@@ -383,31 +409,26 @@ def orbit(table, x0, max_steps, hole=None, track_components=False,
     hits, not to max_steps.  A censored impact ends the orbit at the previous
     collision.
     """
-    s = np.array([float(x0.s)])
-    phi = np.array([float(x0.phi)])
-    hits = []
-    comps = [] if track_components else None
-    status, flag, done = "completed", FLAG_OK, 0
-    for i in range(1, max_steps + 1):
-        s1, phi1, tau, comp, fl = step_batch(
-            table, s, phi, unfold_max_cells=unfold_max_cells)
-        code = int(fl[0])
-        if code != FLAG_OK:
-            status = ("censored_horizon" if code == FLAG_UNFOLD
-                      else "censored_singular")
-            flag = code
-            break
-        s, phi = s1, phi1
-        done = i
-        if comps is not None:
+    hits, comps = [], []
+    last = [np.array([float(x0.s)]), np.array([float(x0.phi)])]
+
+    def observe(i, lanes, s, phi, comp, prev):
+        last[:] = s, phi
+        if track_components:
             comps.append(int(comp[0]))
         if hole is not None and bool(hole.contains(s[0])):
             hits.append(i)
+
+    censor_step, censor_kind, _ = march(
+        table, last[0], last[1], max_steps, observe,
+        unfold_max_cells=unfold_max_cells)
+    flag = int(censor_kind[0])
     return OrbitRecord(
-        n_steps=done,
+        n_steps=int(censor_step[0]) - 1,
         hits=np.asarray(hits, dtype=np.int64),
-        status=status,
+        status={FLAG_OK: "completed", FLAG_UNFOLD: "censored_horizon"}.get(
+            flag, "censored_singular"),
         flag=flag,
-        final=PhasePoint(float(s[0]), float(phi[0])),
-        components=None if comps is None else np.asarray(comps, dtype=np.int64),
+        final=PhasePoint(float(last[0][0]), float(last[1][0])),
+        components=np.asarray(comps, dtype=np.int64) if track_components else None,
     )

@@ -73,9 +73,6 @@ class FlatSegment:
         tx, ty = self.tangent
         return (self.p0[0] + u * tx, self.p0[1] + u * ty)
 
-    def normal_at(self, u):
-        return self.normal
-
 
 @dataclass(frozen=True)
 class CircularArc:
@@ -136,11 +133,6 @@ class CircularArc:
         return (self.center[0] + self.radius * math.cos(th),
                 self.center[1] + self.radius * math.sin(th))
 
-    def normal_at(self, u):
-        th = self.theta_at(u)
-        sg = 1.0 if self.dispersing else -1.0
-        return (sg * math.cos(th), sg * math.sin(th))
-
     def start(self):
         return self.point_at(0.0)
 
@@ -181,7 +173,7 @@ class Table:
     def __post_init__(self):
         if not self.components:
             raise GeometryError("table needs at least one component")
-        self._check_chains()
+        self.chains  # a boundary that does not close fails here
 
     @cached_property
     def offsets(self):
@@ -210,8 +202,10 @@ class Table:
         ext = pts.max(axis=0) - pts.min(axis=0)
         return float(math.hypot(ext[0], ext[1]))
 
-    def _check_chains(self):
-        """Group components into closed chains and verify head-to-tail closure."""
+    @cached_property
+    def chains(self):
+        """Components grouped into closed chains, as (first, last) index
+        pairs; raises GeometryError unless each chain closes head to tail."""
         tol = 1e-9 * max(c.length for c in self.components)
         chains = []
         start_idx = 0
@@ -241,12 +235,7 @@ class Table:
             start_idx = i + 1
         if start_idx != len(comps):
             raise GeometryError("trailing components do not form a closed chain")
-        object.__setattr__(self, "_chains", tuple(chains))
-        return chains
-
-    @property
-    def chains(self):
-        return self._chains
+        return tuple(chains)
 
     @cached_property
     def junction_s(self):
@@ -258,10 +247,6 @@ class Table:
             for i in range(a, b + 1):
                 js.append(float(self.offsets[i]))
         return np.asarray(sorted(js))
-
-    @cached_property
-    def component_kinds(self):
-        return tuple(c.kind for c in self.components)
 
     @cached_property
     def _bg(self):
@@ -312,6 +297,20 @@ class _BatchGeometry:
         self.junction_s = table.junction_s
         self.corner_tol = table.corner_tol
 
+    def near_junction(self, s):
+        """Corner test: which s (already reduced mod the perimeter) lie
+        within corner_tol of a component junction."""
+        js = self.junction_s
+        if not js.size:
+            return np.zeros(np.shape(s), dtype=bool)
+        j = np.searchsorted(js, s)
+        d = np.minimum(np.abs(s - js[np.maximum(j - 1, 0)]),
+                       np.abs(js[np.minimum(j, js.size - 1)] - s))
+        # wrap-around distance to the first/last junction
+        d = np.minimum(d, np.abs(s - js[0] - self.perimeter))
+        d = np.minimum(d, np.abs(js[-1] + self.perimeter - s))
+        return d <= self.corner_tol
+
 
 def locate_batch(table, s):
     """Vectorized boundary lookup.
@@ -348,20 +347,8 @@ def locate_batch(table, s):
         ny[arc] = bg.sigma[i] * st
     tx, ty = ny, -nx  # tangent = inward normal rotated -90 deg
 
-    corner = np.zeros(s.shape, dtype=bool)
-    js = bg.junction_s
-    if js.size:
-        j = np.searchsorted(js, s)
-        d_lo = s - js[np.maximum(j - 1, 0)]
-        d_hi = js[np.minimum(j, js.size - 1)] - s
-        d = np.minimum(np.abs(d_lo), np.abs(d_hi))
-        # wrap-around distance to the first/last junction
-        d = np.minimum(d, np.abs(s - js[0] - bg.perimeter))
-        d = np.minimum(d, np.abs(js[-1] + bg.perimeter - s))
-        corner = d <= bg.corner_tol
-
     return {"component": idx, "u": u, "x": x, "y": y, "nx": nx, "ny": ny,
-            "tx": tx, "ty": ty, "K": bg.K[idx], "corner": corner}
+            "tx": tx, "ty": ty, "K": bg.K[idx], "corner": bg.near_junction(s)}
 
 
 @dataclass(frozen=True)
@@ -786,8 +773,6 @@ class Hole:
     center_s: float
     radius: float
     component: int
-    s_lo: float          # may be negative (wrap below 0)
-    s_hi: float
     perimeter: float
 
     @property
@@ -800,9 +785,6 @@ class Hole:
         d = (s - self.center_s) % self.perimeter
         d = np.minimum(d, self.perimeter - d)
         return d <= self.radius
-
-    def interval(self):
-        return (self.s_lo % self.perimeter, self.s_hi % self.perimeter)
 
 
 def make_hole(table, center_s, r):
@@ -836,9 +818,4 @@ def make_hole(table, center_s, r):
                 f"component junction; at this center the radius can be at "
                 f"most {max_r:.6g}, or move the center toward s = {mid:.6g}")
     return Hole(center_s=center_s, radius=float(r), component=idx,
-                s_lo=center_s - r, s_hi=center_s + r, perimeter=per)
-
-
-def hole_measure(table, hole):
-    """Invariant measure of the hole cylinder (all impact angles)."""
-    return hole.measure
+                perimeter=per)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import FLAG_OK, PhasePoint, step_batch
+from .dynamics import FLAG_OK, PhasePoint, march, step_batch
 from .geometry import locate_batch
 from .measure import SrbSampler
 
@@ -71,25 +71,17 @@ def _returns_batch(table, s, phi, comp0, cap):
     the next base entry; cap_hit lanes are known to exceed cap; flag_censored
     lanes met a singular impact first.
     """
-    n = s.size
-    R = np.zeros(n, dtype=np.int64)
-    cap_hit = np.zeros(n, dtype=bool)
-    flagged = np.zeros(n, dtype=bool)
-    active = np.arange(n)
-    s_a, phi_a, prev_a = s.copy(), phi.copy(), comp0.copy()
-    for j in range(1, cap + 1):
-        if active.size == 0:
-            break
-        s1, phi1, _, now, flag = step_batch(table, s_a, phi_a)
-        ok = flag == FLAG_OK
-        flagged[active[~ok]] = True
-        member = base_mask(table, now, prev_a) & ok
-        R[active[member]] = j
-        keep = ok & ~member
-        active = active[keep]
-        s_a, phi_a, prev_a = s1[keep], phi1[keep], now[keep]
-    cap_hit[active] = True
-    return R, cap_hit, flagged
+    R = np.zeros(s.size, dtype=np.int64)
+
+    def observe(j, lanes, s, phi, now, prev):
+        member = base_mask(table, now, prev)
+        R[lanes[member]] = j
+        return ~member
+
+    censor_step, _, out = march(table, s, phi, cap, observe, comp=comp0)
+    cap_hit = np.zeros(s.size, dtype=bool)
+    cap_hit[out] = True
+    return R, cap_hit, censor_step <= cap
 
 
 def sample_base_points(table, n_samples, seed, stream=0):
@@ -133,31 +125,6 @@ class TailReport:
     cap_fraction: float        # lanes still out after cap (kept in survival)
 
 
-def return_tail(table, n_samples, cap, seed):
-    """Empirical complementary return-time distribution on the base."""
-    if n_samples < 1:
-        raise ValueError("need n_samples >= 1")
-    (s, phi, comp), mu_x, burn_cens = sample_base_points(table, n_samples, seed)
-    R, cap_hit, flagged = _returns_batch(table, s, phi, comp, cap)
-    valid = ~flagged
-    n_valid = int(valid.sum())
-    R_ok = R[valid & ~cap_hit]
-    n_max = int(R_ok.max()) if R_ok.size else 1
-    count = np.bincount(R_ok, minlength=n_max + 1)[1:]
-    # lanes past the cap exceed every tabulated n
-    above = np.concatenate([count[::-1].cumsum()[::-1][1:], [0]])
-    survival = (above + int(cap_hit.sum())) / max(n_valid, 1)
-    return TailReport(
-        n=np.arange(1, n_max + 1),
-        survival=survival,
-        count=count,
-        mean_R=float(R_ok.mean()) if R_ok.size else float("nan"),
-        n_base=n_valid,
-        censored_fraction=float(flagged.mean()) if R.size else 0.0,
-        cap_fraction=float(cap_hit.mean()) if R.size else 0.0,
-    )
-
-
 @dataclass(frozen=True)
 class KacReport:
     defect: float
@@ -167,15 +134,59 @@ class KacReport:
     censored_fraction: float
 
 
-def kac_defect(table, n_samples, cap, seed):
-    """|mean_X(R) * mu(X) - 1|: Kac's identity as an empirical defect."""
+@dataclass(frozen=True)
+class BaseReturns:
+    """Return times of SRB-sampled base points, from one march."""
+
+    R: np.ndarray          # steps to the next base entry; 0 when not reached
+    cap_hit: np.ndarray    # lanes still out after cap steps
+    flagged: np.ndarray    # lanes that met a singular impact first
+    mu_x: float            # empirical mu(X) from the burn-in step
+
+    def tail(self):
+        """Empirical complementary return-time distribution on the base."""
+        R, cap_hit, flagged = self.R, self.cap_hit, self.flagged
+        n_valid = int((~flagged).sum())
+        R_ok = R[~flagged & ~cap_hit]
+        n_max = int(R_ok.max()) if R_ok.size else 1
+        count = np.bincount(R_ok, minlength=n_max + 1)[1:]
+        # lanes past the cap exceed every tabulated n
+        above = np.concatenate([count[::-1].cumsum()[::-1][1:], [0]])
+        survival = (above + int(cap_hit.sum())) / max(n_valid, 1)
+        return TailReport(
+            n=np.arange(1, n_max + 1),
+            survival=survival,
+            count=count,
+            mean_R=float(R_ok.mean()) if R_ok.size else float("nan"),
+            n_base=n_valid,
+            censored_fraction=float(flagged.mean()) if R.size else 0.0,
+            cap_fraction=float(cap_hit.mean()) if R.size else 0.0,
+        )
+
+    def kac(self):
+        """|mean_X(R) * mu(X) - 1|: Kac's identity as an empirical defect."""
+        good = ~self.cap_hit & ~self.flagged
+        mean_r = float(self.R[good].mean()) if good.any() else float("nan")
+        cens = (self.cap_hit | self.flagged).mean() if self.R.size else 0.0
+        return KacReport(defect=float(abs(mean_r * self.mu_x - 1.0)),
+                         mu_x=self.mu_x, mean_R=mean_r,
+                         n_base=int(good.sum()), censored_fraction=float(cens))
+
+
+def base_returns(table, n_samples, cap, seed):
+    """Sample base points from n_samples SRB draws and march their returns
+    (up to cap steps) once; tail() and kac() reduce the same march."""
     if n_samples < 1:
         raise ValueError("need n_samples >= 1")
-    (s, phi, comp), mu_x, burn_cens = sample_base_points(table, n_samples, seed)
-    R, cap_hit, flagged = _returns_batch(table, s, phi, comp, cap)
-    good = ~cap_hit & ~flagged
-    mean_r = float(R[good].mean()) if good.any() else float("nan")
-    defect = abs(mean_r * mu_x - 1.0)
-    cens = (cap_hit | flagged).mean() if R.size else 0.0
-    return KacReport(defect=float(defect), mu_x=mu_x, mean_R=mean_r,
-                     n_base=int(good.sum()), censored_fraction=float(cens))
+    (s, phi, comp), mu_x, _ = sample_base_points(table, n_samples, seed)
+    return BaseReturns(*_returns_batch(table, s, phi, comp, cap), mu_x=mu_x)
+
+
+def return_tail(table, n_samples, cap, seed):
+    """Empirical complementary return-time distribution on the base."""
+    return base_returns(table, n_samples, cap, seed).tail()
+
+
+def kac_defect(table, n_samples, cap, seed):
+    """|mean_X(R) * mu(X) - 1|: Kac's identity as an empirical defect."""
+    return base_returns(table, n_samples, cap, seed).kac()

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import FLAG_OK, step_batch
-from .geometry import hole_measure  # noqa: F401  (re-export: measure API)
 
 
 @dataclass(frozen=True)
@@ -48,11 +47,6 @@ class SrbSampler:
         else:
             raise ValueError(f"unknown phi_mode {self.phi_mode!r}")
         return s, phi
-
-
-def sample_srb(sampler, n):
-    """n points drawn from the SRB measure (or the sampler's control mode)."""
-    return sampler.sample(n)
 
 
 def ks_statistic(sorted_values, cdf_values):

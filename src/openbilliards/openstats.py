@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import FLAG_OK, step_batch
+# step_batch stays a module attribute: perfbench's tracer test looks it up here
+from .dynamics import march, step_batch  # noqa: F401
 from .geometry import locate_batch
 from .inducing import base_mask
 from .measure import SrbSampler, ks_statistic
@@ -61,6 +62,11 @@ class HittingData:
             fh[orb] = self.hit_index[first_pos] * self.mu
         return fh
 
+    @property
+    def censored_fraction(self):
+        """Fraction of orbits censored within the horizon."""
+        return float((self.censor_step <= self.horizon).mean())
+
     def censored_before_first_hit(self):
         """Orbits whose record ends (censoring) before any hit occurred."""
         has_hit = np.zeros(self.n_orbits, dtype=bool)
@@ -77,60 +83,65 @@ def collect_hitting(table, hole, n_orbits, t_max, seed, track_induced=False):
     seen so far, which is what short-return and quasi-section statistics
     consume.
     """
+    return collect_hitting_family(table, [hole], n_orbits, t_max, seed,
+                                  track_induced)[0]
+
+
+def collect_hitting_family(table, holes, n_orbits, t_max, seed,
+                           track_induced=False):
+    """collect_hitting for several holes, all in one march of the orbits.
+
+    Neither the orbits nor their censoring depend on the hole, so each hole
+    keeps the hits and censoring up to its own horizon ceil(t_max / mu) and
+    its HittingData equals a separate collect_hitting call bit for bit; the
+    march runs only as long as the longest horizon.
+    """
     if n_orbits < 1:
         raise ValueError("need n_orbits >= 1")
-    mu = hole.measure
-    horizon = int(math.ceil(t_max / mu)) if t_max > 0 else 0
+    horizons = [int(math.ceil(t_max / h.measure)) if t_max > 0 else 0
+                for h in holes]
     s, phi = SrbSampler(table, seed).sample(n_orbits)
-    prev = locate_batch(table, s)["component"]
-
-    censor_step = np.full(n_orbits, horizon + 1, dtype=np.int64)
-    censor_kind = np.zeros(n_orbits, dtype=np.int8)
     counter = np.zeros(n_orbits, dtype=np.int64) if track_induced else None
-    chunks_orbit, chunks_index, chunks_c = [], [], []
+    finals = [None] * len(holes)
+    empty = np.empty(0, dtype=np.int64)
+    # per hole: orbit, index and induced-counter chunks
+    found = [([empty], [empty], [empty]) for _ in holes]
 
-    alive = np.arange(n_orbits)
-    for j in range(1, horizon + 1):
-        if alive.size == 0:
-            break
-        s1, phi1, tau, now, flag = step_batch(table, s, phi)
-        ok = flag == FLAG_OK
-        if not ok.all():
-            dead = alive[~ok]
-            censor_step[dead] = j
-            censor_kind[dead] = flag[~ok]
-        alive = alive[ok]
-        s, phi = s1[ok], phi1[ok]
+    def observe(j, lanes, s, phi, now, prev):
         if track_induced:
-            member = base_mask(table, now[ok], prev[ok])
-            counter[alive[member]] += 1
-        prev = now[ok]
-        hits = hole.contains(s)
-        if hits.any():
-            ho = alive[hits]
-            chunks_orbit.append(ho)
-            chunks_index.append(np.full(ho.size, j, dtype=np.int64))
-            if track_induced:
-                chunks_c.append(counter[ho])
+            member = base_mask(table, now, prev)
+            counter[lanes[member]] += 1
+        for k, hole in enumerate(holes):
+            if j > horizons[k]:
+                continue
+            hits = hole.contains(s)
+            if hits.any():
+                ho = lanes[hits]
+                found[k][0].append(ho)
+                found[k][1].append(np.full(ho.size, j, dtype=np.int64))
+                if track_induced:
+                    found[k][2].append(counter[ho])
+            if track_induced and j == horizons[k]:
+                finals[k] = counter.copy()
 
-    if chunks_orbit:
-        hit_orbit = np.concatenate(chunks_orbit)
-        hit_index = np.concatenate(chunks_index)
+    censor_step, censor_kind, _ = march(table, s, phi,
+                                        max(horizons, default=0), observe)
+    family = []
+    for hole, horizon, (orbits, index, induced), final in zip(
+            holes, horizons, found, finals):
+        hit_orbit, hit_index = np.concatenate(orbits), np.concatenate(index)
         order = np.lexsort((hit_index, hit_orbit))
-        hit_orbit, hit_index = hit_orbit[order], hit_index[order]
-        hit_c = np.concatenate(chunks_c)[order] if track_induced else None
-    else:
-        hit_orbit = np.empty(0, dtype=np.int64)
-        hit_index = np.empty(0, dtype=np.int64)
-        hit_c = np.empty(0, dtype=np.int64) if track_induced else None
-
-    return HittingData(
-        mu=mu, n_orbits=n_orbits, horizon=horizon, t_max=t_max, seed=seed,
-        hit_orbit=hit_orbit, hit_index=hit_index,
-        censor_step=censor_step, censor_kind=censor_kind,
-        hit_induced=hit_c,
-        final_induced=counter.copy() if track_induced else None,
-    )
+        if track_induced and final is None:
+            final = counter.copy()   # every lane stopped before this horizon
+        within = censor_step <= horizon
+        family.append(HittingData(
+            mu=hole.measure, n_orbits=n_orbits, horizon=horizon, t_max=t_max,
+            seed=seed, hit_orbit=hit_orbit[order], hit_index=hit_index[order],
+            censor_step=np.where(within, censor_step, horizon + 1),
+            censor_kind=np.where(within, censor_kind, np.int8(0)),
+            hit_induced=np.concatenate(induced)[order] if track_induced
+            else None, final_induced=final))
+    return family
 
 
 @dataclass(frozen=True)
@@ -202,12 +213,10 @@ def count_statistics(data, intervals):
     for a, b in iv:
         if not (0.0 <= a < b):
             raise ValueError(f"bad interval ({a}, {b})")
-    for i in range(len(iv)):
-        for j in range(i + 1, len(iv)):
-            lo = max(iv[i][0], iv[j][0])
-            hi = min(iv[i][1], iv[j][1])
-            if lo < hi:
-                raise ValueError("intervals overlap")
+    # sorted by start, any overlap shows up between neighbours
+    srt = sorted(iv)
+    if any(b0 > a1 for (_, b0), (a1, _) in zip(srt, srt[1:])):
+        raise ValueError("intervals overlap")
     t_end = max(b for _, b in iv)
     if t_end > data.t_max + 1e-12:
         raise ValueError("interval extends beyond the collected horizon")
@@ -277,7 +286,7 @@ def short_return_fraction(table, hole, epsilon=0.1, n_hits=20000, seed=0,
     return ShortReturnReport(
         fraction=float((gaps <= p).mean()),
         p=p, n_pairs=int(gaps.size), mu=mu, n_orbits=n_orbits,
-        censored_fraction=float((data.censor_step <= data.horizon).mean()),
+        censored_fraction=data.censored_fraction,
     )
 
 
@@ -304,9 +313,6 @@ def quasi_section_defect(table, hole, n_orbits, seed, t_max=20.0):
                            track_induced=True)
     host_kind = table.components[locate_batch(
         table, np.array([hole.center_s]))["component"][0]].kind
-    if data.hit_orbit.size == 0:
-        return QuasiSectionReport(0.0, 0, 0, host_kind, data.mu,
-                                  float((data.censor_step <= data.horizon).mean()))
     # group hits by (orbit, excursion id); an excursion is complete when the
     # orbit's final induced counter moved past it
     complete = data.hit_induced < data.final_induced[data.hit_orbit]
@@ -314,7 +320,7 @@ def quasi_section_defect(table, hole, n_orbits, seed, t_max=20.0):
     key_exc = data.hit_induced[complete]
     if key_orbit.size == 0:
         return QuasiSectionReport(0.0, 0, 0, host_kind, data.mu,
-                                  float((data.censor_step <= data.horizon).mean()))
+                                  data.censored_fraction)
     pairs = np.stack([key_orbit, key_exc], axis=1)
     _, sizes = np.unique(pairs, axis=0, return_counts=True)
     n_hit_exc = int(sizes.size)
@@ -325,5 +331,5 @@ def quasi_section_defect(table, hole, n_orbits, seed, t_max=20.0):
         n_multi=n_multi,
         host_kind=host_kind,
         mu=data.mu,
-        censored_fraction=float((data.censor_step <= data.horizon).mean()),
+        censored_fraction=data.censored_fraction,
     )

@@ -1,8 +1,10 @@
+import csv
 import json
 
 import pytest
 import yaml
 
+from openbilliards import build_table, dynamics, inducing
 from openbilliards.cli import main
 from openbilliards.geometry import cut_stadium_components
 
@@ -178,6 +180,55 @@ def test_inducing_outputs(tmp_path):
     assert len(tail) > 5
     result = json.loads((out / "inducing.json").read_text())
     assert result["kac_defect"] < 0.1
+
+
+def test_inducing_marches_once_and_matches_separate_calls(tmp_path,
+                                                         monkeypatch):
+    cfg = write_cfg(tmp_path / "c.yaml",
+                    {"version": 1,
+                     "table": {"class": "stadium", "flat_length": 2.0},
+                     "run": {"seed": 4},
+                     "budgets": {"kac_samples": 5000, "return_cap": 2000}})
+    calls = []
+    sample = inducing.sample_base_points
+    monkeypatch.setattr(inducing, "sample_base_points",
+                        lambda *a, **k: calls.append(a) or sample(*a, **k))
+    out = tmp_path / "o"
+    assert main(["inducing", cfg, "--out", str(out)]) == 0
+    assert len(calls) == 1
+    monkeypatch.undo()
+
+    table = build_table("stadium", flat_length=2.0)
+    tail = inducing.return_tail(table, 5000, 2000, 4)
+    kac = inducing.kac_defect(table, 5000, 2000, 4)
+    with open(out / "return_tail.csv", newline="") as f:
+        rows = list(csv.reader(f))
+    assert rows == [["n", "survival", "count"]] + [
+        [str(n), repr(float(v)), str(c)]
+        for n, v, c in zip(tail.n, tail.survival, tail.count)]
+    assert json.loads((out / "inducing.json").read_text()) == {
+        "kac_defect": kac.defect, "mu_x": kac.mu_x, "mean_R": kac.mean_R,
+        "n_base": kac.n_base, "censored_fraction": kac.censored_fraction,
+        "tail_max_n": int(tail.n[-1]), "cap_fraction": tail.cap_fraction}
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"run": {**SINAI_CFG["run"], "intervals": [[0.0, 1.0], [1.0, 4.0]]}},
+     "past run.t_max"),
+    ({"run": {**SINAI_CFG["run"], "seed": -1}}, "run.seed must be"),
+    ({"hole": {"center_s": 0.3, "radii": ["a"]}}, "radii must be numbers"),
+])
+def test_run_rejects_bad_config_before_marching(change, message, tmp_path,
+                                                capsys, monkeypatch):
+    def no_march(*args, **kwargs):
+        raise AssertionError("a rejected config was marched")
+
+    monkeypatch.setattr(dynamics, "step_batch", no_march)
+    cfg = write_cfg(tmp_path / "c.yaml", {**SINAI_CFG, **change})
+    assert main(["validate", cfg]) == 2
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.count(f"error: ") == 2 and message in err
 
 
 def test_missing_config_file(tmp_path, capsys):

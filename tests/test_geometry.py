@@ -10,7 +10,6 @@ from openbilliards import (
     GeometryError,
     build_table,
     cut_stadium_components,
-    hole_measure,
     locate,
     make_hole,
     regular_flower_components,
@@ -209,7 +208,6 @@ def test_hole_measure_sinai():
     t = sinai()
     h = make_hole(t, 0.3, 0.05)
     assert_allclose(h.measure, 0.0795775, atol=1e-6)
-    assert_allclose(hole_measure(t, h), h.measure, rtol=1e-15)
 
 
 def test_hole_measure_stadium():

@@ -1,0 +1,217 @@
+"""The orbit-marching engine: scheduling independence, nested holes, censoring.
+
+Censoring never happens naturally at these sizes, so the censoring tests
+wrap the collision kernel and flag impacts themselves: either by where a
+lane lands (the same lanes whatever the batching) or by step and position
+in the batch.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from openbilliards import build_table, dynamics, make_hole, openstats
+from openbilliards.dynamics import (
+    FLAG_CORNER,
+    FLAG_GRAZING,
+    FLAG_LOST,
+    FLAG_OK,
+    FLAG_UNFOLD,
+    PhasePoint,
+    orbit,
+)
+from openbilliards.geometry import locate_batch, regular_flower_components
+from openbilliards.inducing import ExtendedPhasePoint, base_mask, return_time
+from openbilliards.measure import SrbSampler
+from openbilliards.openstats import collect_hitting, collect_hitting_family
+
+TABLES = {
+    "stadium": lambda: build_table("stadium", flat_length=2.0),
+    "sinai": lambda: build_table("sinai_torus", centers=[(0.5, 0.5)],
+                                 radii=[0.2]),
+    "flower": lambda: build_table(
+        "flower", components=regular_flower_components(4, 2.0)),
+    "semi_dispersing": lambda: build_table(
+        "semi_dispersing", width=2.0, height=1.0, centers=[(1.0, 0.5)],
+        radii=[0.3]),
+}
+
+FIELDS = ("hit_orbit", "hit_index", "hit_induced", "censor_step",
+          "censor_kind", "final_induced")
+
+
+def flag_by_landing(step):
+    """Kernel wrapper that censors impacts landing in thin bands of s."""
+    def flagged(table, s, phi, **kw):
+        s1, phi1, tau, comp, flag = step(table, s, phi, **kw)
+        band = (s1 * 977.0) % 1.0
+        flag = flag.copy()
+        for k, code in enumerate((FLAG_GRAZING, FLAG_CORNER, FLAG_LOST)):
+            sel = (flag == FLAG_OK) & (band >= 0.002 * k) \
+                & (band < 0.002 * (k + 1))
+            flag[sel] = code
+        return s1, phi1, tau, comp, flag
+    return flagged
+
+
+def flag_at(step, plan):
+    """Kernel wrapper that flags batch positions at chosen steps; plan maps
+    a step number (counted from the first call) to [(position, code)]."""
+    calls = [0]
+
+    def flagged(table, s, phi, **kw):
+        s1, phi1, tau, comp, flag = step(table, s, phi, **kw)
+        calls[0] += 1
+        flag = flag.copy()
+        for pos, code in plan.get(calls[0], ()):
+            flag[pos] = code
+        return s1, phi1, tau, comp, flag
+    return flagged
+
+
+def holes_of(table):
+    """Two nested holes centred on the middle of component 0."""
+    lo, hi = table.offsets[0], table.offsets[1]
+    c, w = 0.5 * (lo + hi), hi - lo
+    return [make_hole(table, c, 0.2 * w), make_hole(table, c, 0.1 * w)]
+
+
+def offset_sampler(s, phi):
+    """Stand-in for SrbSampler whose seed is an offset into one fixed orbit
+    set, so collect_hitting_family(..., n, ..., seed=lo) marches lanes
+    lo .. lo + n - 1 of it."""
+    class Sampler:
+        def __init__(self, table, seed):
+            self.lo = seed
+
+        def sample(self, n):
+            return s[self.lo:self.lo + n], phi[self.lo:self.lo + n]
+    return Sampler
+
+
+def chunked(table, holes, t_max, n, size):
+    """Per-hole records of lanes 0 .. n - 1 marched size lanes at a time,
+    orbit ids shifted back to the whole set."""
+    out = [{f: [] for f in FIELDS} for _ in holes]
+    for lo in range(0, n, size):
+        part = collect_hitting_family(table, holes, min(size, n - lo), t_max,
+                                      lo, track_induced=True)
+        for rec, data in zip(out, part):
+            for f in FIELDS:
+                shift = lo if f == "hit_orbit" else 0
+                rec[f].append(getattr(data, f) + shift)
+    return [{f: np.concatenate(v) for f, v in rec.items()} for rec in out]
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_chunked_march_matches_whole(name, monkeypatch):
+    table = TABLES[name]()
+    s, phi = SrbSampler(table, 3).sample(26)
+    monkeypatch.setattr(openstats, "SrbSampler", offset_sampler(s, phi))
+    monkeypatch.setattr(dynamics, "step_batch",
+                        flag_by_landing(dynamics.step_batch))
+    holes = holes_of(table)
+    t_max = 100 * holes[0].measure        # horizons of about 100 and 200
+    whole = collect_hitting_family(table, holes, 26, t_max, 0,
+                                   track_induced=True)
+    assert np.count_nonzero(whole[1].censor_kind) > 0
+    assert np.count_nonzero(whole[1].censor_kind == FLAG_OK) > 0
+    assert whole[1].hit_orbit.size > 0
+    for size in (1, 3, 5, 7, 13):
+        parts = chunked(table, holes, t_max, 26, size)
+        for data, part in zip(whole, parts):
+            for f in FIELDS:
+                a = getattr(data, f)
+                assert np.array_equal(a, part[f]), (size, f)
+                assert a.dtype == part[f].dtype, (size, f)
+
+
+@pytest.mark.parametrize("track_induced", [False, True])
+def test_nested_pass_equals_separate_calls(track_induced, monkeypatch):
+    table = TABLES["stadium"]()
+    holes = [make_hole(table, 1.0, r) for r in (0.05, 0.02, 0.01)]
+    h0 = math.ceil(1.0 / holes[0].measure)
+    h1 = math.ceil(1.0 / holes[1].measure)
+    # censor around the first two horizons: at h0 a lane still counts for
+    # every hole, at h0 + 1 it is already past the first hole's record
+    plan = {50: [(2, FLAG_LOST)], h0: [(0, FLAG_CORNER), (5, FLAG_CORNER)],
+            h0 + 1: [(1, FLAG_GRAZING)], h1: [(3, FLAG_UNFOLD)]}
+    real = dynamics.step_batch
+
+    def run(fn, *args):
+        monkeypatch.setattr(dynamics, "step_batch", flag_at(real, plan))
+        return fn(*args, 100, 1.0, 4, track_induced)
+
+    family = run(collect_hitting_family, table, holes)
+    for hole, data in zip(holes, family):
+        alone = run(collect_hitting, table, hole)
+        assert (data.mu, data.n_orbits, data.horizon, data.t_max,
+                data.seed) == (alone.mu, alone.n_orbits, alone.horizon,
+                               alone.t_max, alone.seed)
+        for f in FIELDS:
+            a, b = getattr(data, f), getattr(alone, f)
+            if b is None:
+                assert a is None
+            else:
+                assert np.array_equal(a, b) and a.dtype == b.dtype, f
+    kinds = [np.count_nonzero(d.censor_kind) for d in family]
+    assert kinds == [3, 5, 5]
+    assert family[0].censor_step.max() == family[0].horizon + 1
+    assert np.count_nonzero(family[0].censor_step == h0) == 2
+
+
+def test_family_matches_scalar_orbits():
+    # an independent reference: each orbit replayed alone, to each hole's
+    # own horizon, with the induced counter rebuilt from its components
+    table = TABLES["stadium"]()
+    holes = [make_hole(table, 1.0, r) for r in (0.05, 0.02)]
+    family = collect_hitting_family(table, holes, 8, 1.0, 2,
+                                    track_induced=True)
+    s, phi = SrbSampler(table, 2).sample(8)
+    comp0 = locate_batch(table, s)["component"]
+    for hole, data in zip(holes, family):
+        for i in range(8):
+            rec = orbit(table, PhasePoint(s[i], phi[i]), data.horizon,
+                        hole=hole, track_components=True)
+            comps = np.concatenate([[comp0[i]], rec.components])
+            entries = np.cumsum(base_mask(table, comps[1:], comps[:-1]))
+            sel = data.hit_orbit == i
+            assert np.array_equal(data.hit_index[sel], rec.hits)
+            assert np.array_equal(data.hit_induced[sel],
+                                  entries[rec.hits - 1])
+            assert data.final_induced[i] == entries[-1]
+            assert data.censor_step[i] == data.horizon + 1
+
+
+def test_orbit_censored_at_injected_step(monkeypatch):
+    table = TABLES["stadium"]()
+    hole = make_hole(table, 1.0, 0.5)
+    x0 = PhasePoint(0.3, 0.2)
+    clean = orbit(table, x0, 40, hole=hole)
+    before = orbit(table, x0, 11, hole=hole)
+    real = dynamics.step_batch
+    for code, status in ((FLAG_CORNER, "censored_singular"),
+                         (FLAG_UNFOLD, "censored_horizon")):
+        monkeypatch.setattr(dynamics, "step_batch",
+                            flag_at(real, {12: [(0, code)]}))
+        rec = orbit(table, x0, 40, hole=hole, track_components=True)
+        assert rec.status == status and rec.flag == code
+        assert rec.n_steps == 11
+        assert rec.final == before.final
+        assert list(rec.hits) == [i for i in clean.hits if i < 12]
+        assert rec.components.size == 11
+
+
+def test_return_time_censored_at_injected_step(monkeypatch):
+    table = TABLES["stadium"]()
+    # component 1 of the stadium is an arc: arriving from a flat is an entry
+    x = ExtendedPhasePoint(PhasePoint(3.0, 0.2), current_component=1,
+                           previous_component=0)
+    assert table.components[1].kind == "arc"
+    clean = return_time(table, x)
+    assert not clean.censored and clean.R >= 1
+    monkeypatch.setattr(dynamics, "step_batch", flag_at(
+        dynamics.step_batch, {clean.R: [(0, FLAG_GRAZING)]}))
+    cut = return_time(table, x)
+    assert cut.censored and cut.R == 0

@@ -4,10 +4,8 @@ import pytest
 from openbilliards import build_table
 from openbilliards.measure import (
     SrbSampler,
-    hole_measure,
     invariance_defect,
     ks_statistic,
-    sample_srb,
 )
 
 
@@ -55,7 +53,7 @@ def test_seed_and_stream_decorrelate(sinai):
 
 
 def test_phi_marginal_moments(sinai):
-    _, phi = sample_srb(SrbSampler(sinai, seed=3), 200000)
+    _, phi = SrbSampler(sinai, seed=3).sample(200000)
     assert np.all(np.abs(phi) < np.pi / 2)
     # density cos(phi)/2: E sin = 0, E sin^2 = 1/3
     assert abs(np.sin(phi).mean()) < 0.005
@@ -116,9 +114,3 @@ def test_invariance_negative_control(stadium):
 def test_invariance_rejects_empty(sinai):
     with pytest.raises(ValueError):
         invariance_defect(sinai, 0, seed=0)
-
-
-def test_hole_measure_reexport(sinai):
-    from openbilliards.geometry import make_hole
-    hole = make_hole(sinai, 0.3, 0.05)
-    assert hole_measure(sinai, hole) == pytest.approx(0.1 / sinai.perimeter)
