@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import difflib
 import json
 import sys
 from pathlib import Path
@@ -26,7 +27,8 @@ import yaml
 
 from . import __version__
 from .cones import cone_invariance_scan
-from .geometry import GeometryError, build_table, make_hole, validate_table
+from .geometry import (GeometryError, _is_real, build_table, make_hole,
+                       validate_table)
 from .inducing import base_returns, kac_defect
 from .measure import invariance_defect
 from .openstats import (
@@ -38,29 +40,66 @@ from .openstats import (
     survival_curve,
 )
 
-DEFAULT_THRESHOLDS = {
-    "ks": 0.05,
-    "tv": 0.05,
-    "kac": 0.01,
-    "invariance": 0.005,
-    "cone_violations": 0,
-}
-
-CHECK_DEFAULTS = {
-    "cone_points": 20000,
-    "cone_vectors": 10,
-    "kac_samples": 200000,
-    "invariance_samples": 200000,
-    "return_cap": 10000,
-    "short_return_hits": 20000,
-    "quasi_orbits": 2000,
-}
-
-DEFAULT_T_MAX = 50.0
-
 
 class ConfigError(ValueError):
-    pass
+    """A rejected config; each argument is one problem."""
+
+
+def _is_radii(r):
+    return isinstance(r, list) and r != [] and all(map(_is_real, r)) \
+        and r[-1] > 0 and all(a > b for a, b in zip(r, r[1:]))
+
+
+def _is_intervals(pairs):
+    if not (isinstance(pairs, list) and all(
+            isinstance(p, list) and len(p) == 2 and all(map(_is_real, p))
+            and 0 <= p[0] < p[1] for p in pairs)):
+        return False
+    srt = sorted(pairs)     # any overlap shows up between neighbours
+    return all(b0 <= a1 for (_, b0), (a1, _) in zip(srt, srt[1:]))
+
+
+_COUNT = (lambda x: type(x) is int and x >= 1, "an integer >= 1")
+_LEVEL = (lambda x: _is_real(x) and x >= 0, "a finite number >= 0")
+_FLAG = (lambda x: isinstance(x, bool), "true or false")
+
+# section -> key -> ((test, what a value must be), default); a default of
+# ... marks a required key.
+SCHEMA = {
+    "hole": {
+        "center_s": ((_is_real, "a finite number"), ...),
+        "radii": ((_is_radii, "numbers, positive and strictly decreasing"),
+                  ...),
+    },
+    "run": {
+        "seed": ((lambda x: type(x) is int and 0 <= x < 2 ** 64,
+                  "an integer in [0, 2**64)"), ...),
+        "n_orbits": (_COUNT, 1000),
+        "t_max": ((lambda x: _is_real(x) and x > 0, "a finite number > 0"),
+                  50.0),
+        "intervals": ((_is_intervals, "disjoint [a, b] with 0 <= a < b"),
+                      []),
+    },
+    "checks": dict.fromkeys(("cones", "invariance", "kac", "short_returns",
+                             "quasi_section"), (_FLAG, False)),
+    "budgets": {
+        "cone_points": (_COUNT, 20000),
+        "cone_vectors": (_COUNT, 10),
+        "kac_samples": (_COUNT, 200000),
+        "invariance_samples": (_COUNT, 200000),
+        "return_cap": (_COUNT, 10000),
+        "short_return_hits": (_COUNT, 20000),
+        "quasi_orbits": (_COUNT, 2000),
+    },
+    "thresholds": {
+        "ks": (_LEVEL, 0.05),
+        "tv": (_LEVEL, 0.05),
+        "kac": (_LEVEL, 0.01),
+        "invariance": (_LEVEL, 0.005),
+        "cone_violations": ((lambda x: type(x) is int and x >= 0,
+                             "an integer >= 0"), 0),
+    },
+}
 
 
 def load_config(path):
@@ -74,7 +113,7 @@ def load_config(path):
         raise ConfigError(f"config is not valid YAML: {e}") from e
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a mapping")
-    if cfg.get("version") != 1:
+    if type(cfg.get("version")) is not int or cfg["version"] != 1:
         raise ConfigError("config must declare version: 1")
     return cfg
 
@@ -90,105 +129,95 @@ def build_from_config(cfg):
         raise ConfigError(f"bad table parameters: {e}") from e
 
 
-def _config_errors(cfg):
-    """Schema-level problems, as human-readable strings."""
-    errors = []
-    hole = cfg.get("hole")
-    if hole is not None:
-        if not isinstance(hole, dict) or "center_s" not in hole \
-                or "radii" not in hole:
-            errors.append("hole needs center_s and radii")
-        else:
-            radii = hole["radii"]
-            if not _is_number(hole["center_s"]):
-                errors.append("hole.center_s must be a number")
-            if not isinstance(radii, (list, tuple)) or not radii:
-                errors.append("hole.radii must be a non-empty list")
-            elif not all(_is_number(r) for r in radii):
-                errors.append("hole radii must be numbers")
-            elif any(r <= 0 for r in radii):
-                errors.append("hole radii must be positive")
-            elif list(radii) != sorted(radii, reverse=True) \
-                    or len(set(radii)) != len(radii):
-                errors.append("hole.radii must be strictly decreasing")
-    run = cfg.get("run")
-    if run is not None:
-        if "seed" not in run:
-            errors.append("run.seed is required (no wall-clock default)")
-        elif _seed_error(run["seed"]):
-            errors.append(_seed_error(run["seed"]))
-        if run.get("n_orbits", 1) < 1:
-            errors.append("run.n_orbits must be >= 1")
-        t_max = run.get("t_max", DEFAULT_T_MAX)
-        for pair in run.get("intervals", []):
-            if len(pair) != 2 or not (0 <= pair[0] < pair[1]):
-                errors.append(f"bad interval {pair}")
-            elif _is_number(t_max) and pair[1] > t_max:
-                errors.append(f"interval {pair} ends past run.t_max {t_max}")
-    return errors
+def _unknown_keys(given, known, prefix):
+    for key in given:
+        if key not in known:
+            close = difflib.get_close_matches(str(key), known, n=1)
+            hint = f" (did you mean {prefix}{close[0]}?)" if close else ""
+            yield f"unknown key {prefix}{key}{hint}"
 
 
-def _is_number(x):
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+def _resolve(cfg, overrides):
+    """(cfg with every default applied, a list of its problems).
+
+    A key takes its value from overrides (by dotted path; None is not
+    given), else from cfg, else from SCHEMA.  A section with a problem
+    resolves to None, and so does an absent hole section: no hole runs.
+    """
+    problems = [*_unknown_keys(cfg, ("version", "table", "out", *SCHEMA), "")]
+    out = overrides.get("out")
+    conf = {"version": cfg["version"], "table": cfg.get("table"),
+            "out": cfg.get("out", "results") if out is None else out}
+    if not isinstance(conf["out"], str):
+        problems.append(f"out must be a string, got {conf['out']!r}")
+    for name, keys in SCHEMA.items():
+        given, conf[name] = cfg.get(name), None
+        if given is None and name == "hole":
+            continue
+        given = {} if given is None else given
+        if not isinstance(given, dict):
+            problems.append(f"{name} must be a mapping, got {given!r}")
+            continue
+        problems += _unknown_keys(given, keys, name + ".")
+        section = {}
+        for key, ((test, wants), default) in keys.items():
+            path = f"{name}.{key}"
+            value = overrides.get(path)
+            value = given.get(key, default) if value is None else value
+            if value is ...:
+                problems.append(f"{path} is required")
+            elif not test(value):
+                problems.append(f"{path} must be {wants}, got {value!r}")
+            else:
+                section[key] = value
+        conf[name] = section if len(section) == len(keys) else None
+    run = conf["run"]
+    for pair in run["intervals"] if run else ():
+        if pair[1] > run["t_max"]:
+            problems.append(
+                f"interval {pair} ends past run.t_max {run['t_max']}")
+    return conf, problems
 
 
-def _seed_error(seed):
-    """Why seed cannot key the Philox generator, or None."""
-    if not (isinstance(seed, int) and not isinstance(seed, bool)
-            and 0 <= seed < 2 ** 64):
-        return f"run.seed must be an integer in [0, 2**64), got {seed!r}"
+def _prepare(args, place_holes):
+    """Every command's preamble: the resolved config, table and holes.
 
-
-def _hole_errors(table, cfg):
-    errors = []
-    hole = cfg.get("hole")
-    # a malformed hole section is already reported by _config_errors
-    if hole is not None and not _config_errors({"hole": hole}):
-        for r in hole["radii"]:
-            try:
-                make_hole(table, float(hole["center_s"]), float(r))
-            except GeometryError as e:
-                errors.append(f"hole r={r}: {e}")
-    return errors
-
-
-def _validated_table(cfg):
-    """The table of cfg, or None after reporting every schema, geometry and
-    hole problem on stderr."""
-    errors, violations, table = _config_errors(cfg), [], None
+    Raises ConfigError naming every problem.  Only place_holes validates the
+    table and places the holes, so `check` and `inducing` accept invalid
+    geometry.
+    """
+    cfg = load_config(args.config)
+    conf, problems = _resolve(cfg, vars(args))
+    table, holes = None, []
     try:
         table = build_from_config(cfg)
     except (ConfigError, GeometryError) as e:
-        errors.append(f"table: {e}")
-    if table is not None:
-        violations = validate_table(table)
-        errors.extend(_hole_errors(table, cfg))
-    for v in violations:
-        print(f"violation: {v}", file=sys.stderr)
-    for e in errors:
-        print(f"error: {e}", file=sys.stderr)
-    return None if errors or violations else table
+        problems.append(f"table: {e}")
+    if place_holes and table is not None:
+        problems += [f"table violation {v}" for v in validate_table(table)]
+        hole = conf["hole"]
+        for r in hole["radii"] if hole else ():
+            try:
+                holes.append(make_hole(table, hole["center_s"], r))
+            except GeometryError as e:
+                problems.append(f"hole r={r}: {e}")
+    if problems:
+        raise ConfigError(*problems)
+    return conf, table, holes
 
 
 def cmd_validate(args):
-    try:
-        cfg = load_config(args.config)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    if _validated_table(cfg) is None:
-        return 2
+    _prepare(args, place_holes=True)
     print("ok")
     return 0
 
 
-def _out_dir(cfg, args):
-    out = args.out or cfg.get("out", "results")
-    path = Path(out)
+def _out_dir(conf):
+    path = Path(conf["out"])
     try:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as e:
-        raise ConfigError(f"cannot create output directory {out}: {e}") from e
+        raise ConfigError(f"cannot create output directory {path}: {e}") from e
     return path
 
 
@@ -210,78 +239,52 @@ def _write_json(path, obj):
         f.write("\n")
 
 
-def _manifest(path, cfg, table, seed):
-    _write_json(path / "manifest.json", {
-        "config": cfg,
-        "resolved_seed": seed,
-        "table_class": table.class_tag,
-        "perimeter": table.perimeter,
-        "package_version": __version__,
-    })
-
-
-def _seed_of(cfg, args):
-    run = cfg.get("run", {})
-    seed = args.seed if args.seed is not None else run.get("seed")
-    if seed is None:
-        raise ConfigError("run.seed is required (or pass --seed)")
-    if _seed_error(seed):
-        raise ConfigError(_seed_error(seed))
-    return seed
-
-
-def _cones_result(table, n_points, n_vectors, seed):
-    rep = cone_invariance_scan(table, n_points, n_vectors, seed)
-    return {
-        "n_pairs": rep.n_pairs, "violations": rep.n_violations,
-        "worst_margin": rep.worst_margin,
-        "vertical_min_margin": rep.vertical_min_margin,
-        "transversality_violations": rep.transversality_violations,
-        "censored_fraction": rep.censored_fraction,
-    }
-
-
-def _invariants_result(table, n_samples, seed):
-    rep = invariance_defect(table, n_samples, seed)
-    return {"ks_phi": rep.ks_phi, "ks_s": rep.ks_s, "n": rep.n,
-            "censored_fraction": rep.censored_fraction}
-
-
-def _kac_result(table, n_samples, cap, seed):
-    rep = kac_defect(table, n_samples, cap, seed)
+def _check_result(name, table, budgets, seed):
+    """The report of check `name`: "cones", "invariance" or "kac"."""
+    if name == "cones":
+        rep = cone_invariance_scan(table, budgets["cone_points"],
+                                   budgets["cone_vectors"], seed)
+        return {
+            "n_pairs": rep.n_pairs, "violations": rep.n_violations,
+            "worst_margin": rep.worst_margin,
+            "vertical_min_margin": rep.vertical_min_margin,
+            "transversality_violations": rep.transversality_violations,
+            "censored_fraction": rep.censored_fraction,
+        }
+    if name == "invariance":
+        rep = invariance_defect(table, budgets["invariance_samples"], seed)
+        return {"ks_phi": rep.ks_phi, "ks_s": rep.ks_s, "n": rep.n,
+                "censored_fraction": rep.censored_fraction}
+    rep = kac_defect(table, budgets["kac_samples"], budgets["return_cap"],
+                     seed)
     return {"defect": rep.defect, "mu_x": rep.mu_x, "mean_R": rep.mean_R,
             "censored_fraction": rep.censored_fraction}
 
 
 def cmd_run(args):
-    cfg = load_config(args.config)
-    table = _validated_table(cfg)
-    if table is None:
-        return 2
-    seed, out = _seed_of(cfg, args), _out_dir(cfg, args)
+    conf, table, holes = _prepare(args, place_holes=True)
+    out = _out_dir(conf)
+    run, checks, budgets = conf["run"], conf["checks"], conf["budgets"]
+    seed, n_orbits, t_max = run["seed"], run["n_orbits"], float(run["t_max"])
+    intervals = [tuple(map(float, p)) for p in run["intervals"]]
 
-    run = cfg.get("run", {})
-    checks = cfg.get("checks", {})
-    budgets = {**CHECK_DEFAULTS, **cfg.get("budgets", {})}
-    thresholds = {**DEFAULT_THRESHOLDS, **cfg.get("thresholds", {})}
-    n_orbits = int(run.get("n_orbits", 1000))
-    t_max = float(run.get("t_max", DEFAULT_T_MAX))
-    intervals = [tuple(map(float, p)) for p in run.get("intervals", [])]
-
-    _manifest(out, cfg, table, seed)
+    _write_json(out / "manifest.json", {
+        "config": conf,
+        "resolved_seed": seed,
+        "table_class": table.class_tag,
+        "perimeter": table.perimeter,
+        "package_version": __version__,
+    })
     summary = {"table_class": table.class_tag, "seed": seed, "radii": [],
                "per_radius": {}, "checks": {}}
 
-    hole_spec = cfg.get("hole")
-    if hole_spec:
-        center = float(hole_spec["center_s"])
-        radii = [float(r) for r in hole_spec["radii"]]
-        holes = [make_hole(table, center, r) for r in radii]
+    if holes:
         t0 = perf_counter()
         family = collect_hitting_family(table, holes, n_orbits, t_max, seed)
         summary["march_s"] = perf_counter() - t0
-        for r, hole, data in zip(radii, holes, family):
+        for hole, data in zip(holes, family):
             t0 = perf_counter()
+            r = hole.radius
             tag = f"r_{r:g}"
             rdir = out / tag
             rdir.mkdir(exist_ok=True)
@@ -298,9 +301,8 @@ def cmd_run(args):
                            (_fmt(v) for v in data.normalized_times)))
             _write_csv(rdir / "survival.csv",
                        ["t", "empirical", "exponential"],
-                       zip((_fmt(v) for v in sc.t),
-                           (_fmt(v) for v in sc.empirical),
-                           (_fmt(v) for v in sc.exponential)))
+                       (map(_fmt, row) for row in
+                        zip(sc.t, sc.empirical, sc.exponential)))
             entry = {
                 "mu": hole.measure, "ks_exp1": ks,
                 "survival_at_1": float(sc.empirical[np.argmin(np.abs(grid - 1.0))]),
@@ -310,17 +312,16 @@ def cmd_run(args):
             }
             if intervals:
                 cr = count_statistics(data, intervals)
-                rows = [(i, k, int(cr.counts[i, k]))
-                        for i in range(cr.counts.shape[0])
-                        for k in range(len(cr.intervals))]
                 _write_csv(rdir / "counts.csv",
-                           ["orbit", "interval", "count"], rows)
+                           ["orbit", "interval", "count"],
+                           ((i, k, int(c))
+                            for (i, k), c in np.ndenumerate(cr.counts)))
                 entry["tv"] = [float(v) for v in cr.tv]
                 entry["count_means"] = [float(v) for v in cr.means]
                 if len(cr.intervals) > 1:
                     entry["count_correlation"] = float(cr.correlations[0, 1])
             diag = {"censoring": entry["censored_fraction"]}
-            if checks.get("short_returns"):
+            if checks["short_returns"]:
                 srr = short_return_fraction(
                     table, hole, n_hits=budgets["short_return_hits"],
                     seed=seed)
@@ -329,7 +330,7 @@ def cmd_run(args):
                     "fraction": srr.fraction, "p": srr.p,
                     "n_pairs": srr.n_pairs,
                 }
-            if checks.get("quasi_section"):
+            if checks["quasi_section"]:
                 q = quasi_section_defect(
                     table, hole, budgets["quasi_orbits"], seed)
                 entry["quasi_section_defect"] = q.defect
@@ -342,29 +343,20 @@ def cmd_run(args):
             summary["radii"].append(r)
             summary["per_radius"][tag] = entry
 
-    for name, result, *budget in (
-            ("cones", _cones_result, "cone_points", "cone_vectors"),
-            ("invariance", _invariants_result, "invariance_samples"),
-            ("kac", _kac_result, "kac_samples", "return_cap")):
-        if checks.get(name):
+    for name in ("cones", "invariance", "kac"):
+        if checks[name]:
             t0 = perf_counter()
-            entry = result(table, *(budgets[b] for b in budget), seed)
+            entry = _check_result(name, table, budgets, seed)
             entry["runtime_s"] = perf_counter() - t0
             summary["checks"][name] = entry
 
     _write_json(out / "summary.json", summary)
-
-    if args.enforce:
-        breaches = _enforce(summary, thresholds)
-        if breaches:
-            for b in breaches:
-                print(f"threshold breach: {b}", file=sys.stderr)
-            return 3
-    return 0
+    return _enforce(args, summary, conf["thresholds"])
 
 
-def _enforce(summary, thresholds):
-    """Threshold checks at the smallest radius plus global checks."""
+def _enforce(args, summary, thresholds):
+    """3 under --enforce after printing each breached threshold (the hitting
+    ones at the smallest radius), else 0."""
     breaches = []
     if summary["radii"]:
         tag = f"r_{min(summary['radii']):g}"
@@ -385,38 +377,27 @@ def _enforce(summary, thresholds):
     kac = summary["checks"].get("kac")
     if kac and kac["defect"] >= thresholds["kac"]:
         breaches.append(f"kac defect {kac['defect']:.4f}")
-    return breaches
+    for b in breaches if args.enforce else ():
+        print(f"threshold breach: {b}", file=sys.stderr)
+    return 3 if args.enforce and breaches else 0
 
 
 def cmd_check(args):
-    cfg = load_config(args.config)
-    table = build_from_config(cfg)
-    seed, out = _seed_of(cfg, args), _out_dir(cfg, args)
-    budgets = {**CHECK_DEFAULTS, **cfg.get("budgets", {})}
-    thresholds = {**DEFAULT_THRESHOLDS, **cfg.get("thresholds", {})}
-    if args.what == "cones":
-        result = _cones_result(
-            table, args.points or budgets["cone_points"],
-            args.vectors or budgets["cone_vectors"], seed)
-        breach = result["violations"] > thresholds["cone_violations"]
-    else:
-        result = _invariants_result(
-            table, args.samples or budgets["invariance_samples"], seed)
-        breach = max(result["ks_phi"], result["ks_s"]) \
-            >= thresholds["invariance"]
+    conf, table, _ = _prepare(args, place_holes=False)
+    out = _out_dir(conf)
+    name = "cones" if args.what == "cones" else "invariance"
+    result = _check_result(name, table, conf["budgets"], conf["run"]["seed"])
     _write_json(out / f"{args.what}.json", result)
     print(json.dumps(result, sort_keys=True))
-    return 3 if args.enforce and breach else 0
+    return _enforce(args, {"radii": [], "checks": {name: result}},
+                    conf["thresholds"])
 
 
 def cmd_inducing(args):
-    cfg = load_config(args.config)
-    table = build_from_config(cfg)
-    seed, out = _seed_of(cfg, args), _out_dir(cfg, args)
-    budgets = {**CHECK_DEFAULTS, **cfg.get("budgets", {})}
-    samples = args.samples or budgets["kac_samples"]
-    cap = args.cap or budgets["return_cap"]
-    returns = base_returns(table, samples, cap, seed)
+    conf, table, _ = _prepare(args, place_holes=False)
+    out, budgets = _out_dir(conf), conf["budgets"]
+    returns = base_returns(table, budgets["kac_samples"],
+                           budgets["return_cap"], conf["run"]["seed"])
     tail, kac = returns.tail(), returns.kac()
     _write_csv(out / "return_tail.csv", ["n", "survival", "count"],
                zip(tail.n, (_fmt(v) for v in tail.survival), tail.count))
@@ -438,10 +419,11 @@ def main(argv=None):
                     "cone checks, inducing diagnostics")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # an override flag's dest is the dotted path of the key it replaces
     def common(p):
         p.add_argument("config", help="YAML config (version: 1)")
         p.add_argument("--out", help="output directory (default from config)")
-        p.add_argument("--seed", type=int, help="override run.seed")
+        p.add_argument("--seed", type=int, dest="run.seed")
         p.add_argument("--enforce", action="store_true",
                        help="exit 3 when thresholds are breached")
 
@@ -454,14 +436,15 @@ def main(argv=None):
     p_chk = sub.add_parser("check", help="single diagnostic")
     p_chk.add_argument("what", choices=["cones", "invariants"])
     common(p_chk)
-    p_chk.add_argument("--points", type=int)
-    p_chk.add_argument("--vectors", type=int)
-    p_chk.add_argument("--samples", type=int)
+    p_chk.add_argument("--points", type=int, dest="budgets.cone_points")
+    p_chk.add_argument("--vectors", type=int, dest="budgets.cone_vectors")
+    p_chk.add_argument("--samples", type=int,
+                       dest="budgets.invariance_samples")
 
     p_ind = sub.add_parser("inducing", help="return-time tail and Kac defect")
     common(p_ind)
-    p_ind.add_argument("--samples", type=int)
-    p_ind.add_argument("--cap", type=int)
+    p_ind.add_argument("--samples", type=int, dest="budgets.kac_samples")
+    p_ind.add_argument("--cap", type=int, dest="budgets.return_cap")
 
     args = parser.parse_args(argv)
     command = {"validate": cmd_validate, "run": cmd_run, "check": cmd_check,
@@ -469,7 +452,8 @@ def main(argv=None):
     try:
         return command(args)
     except (ConfigError, GeometryError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        for problem in e.args:
+            print(f"error: {problem}", file=sys.stderr)
         return 2
 
 

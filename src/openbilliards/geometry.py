@@ -11,7 +11,9 @@ dispersing walls (domain outside the circle), -1/rho on focusing walls
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+import sys
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -29,6 +31,27 @@ _LOOP_TOL = 1e-9
 
 class GeometryError(ValueError):
     """Raised for unbuildable or ill-posed table parameters."""
+
+
+def _is_real(x):
+    """A real number, finite as a float; a bool is not one."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) \
+        and abs(x) <= sys.float_info.max
+
+
+def _real(name, x, positive=False):
+    """x as a float; GeometryError naming the parameter unless x is a finite
+    real number, and above 0 when positive."""
+    if not _is_real(x) or (positive and x <= 0):
+        kind = "a positive" if positive else "a"
+        raise GeometryError(f"{name} must be {kind} finite number, got {x!r}")
+    return float(x)
+
+
+def _point(name, p):
+    if not isinstance(p, (list, tuple, np.ndarray)) or len(p) != 2:
+        raise GeometryError(f"{name} must be a pair of numbers, got {p!r}")
+    return _real(f"{name}[0]", p[0]), _real(f"{name}[1]", p[1])
 
 
 def _unit(vx, vy):
@@ -168,7 +191,6 @@ class Table:
     components: tuple
     class_tag: str
     lattice: bool = False
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not self.components:
@@ -383,13 +405,14 @@ def locate(table, s):
 
 
 def _sinai_like(centers, radii, bounds=None):
+    centers = [_point(f"centers[{k}]", c) for k, c in enumerate(centers)]
+    radii = [_real(f"radii[{k}]", r, positive=True)
+             for k, r in enumerate(radii)]
     if len(centers) != len(radii):
         raise GeometryError("centers and radii length mismatch")
     if not centers:
         raise GeometryError("need at least one scatterer")
     for k, ((cx, cy), r) in enumerate(zip(centers, radii)):
-        if r <= 0:
-            raise GeometryError(f"scatterer {k}: radius must be positive")
         if bounds is not None:
             w, h = bounds
             if not (0 < cx - r and cx + r < w and 0 < cy - r and cy + r < h):
@@ -401,34 +424,29 @@ def _sinai_like(centers, radii, bounds=None):
                            centers[a][1] - centers[b][1])
             if d <= radii[a] + radii[b]:
                 raise GeometryError(f"overlapping scatterers {a} and {b}")
-    return [CircularArc(tuple(c), float(r), 0.0, TWO_PI, dispersing=True)
+    return [CircularArc(c, r, 0.0, TWO_PI, dispersing=True)
             for c, r in zip(centers, radii)]
 
 
 def _build_sinai_torus(centers, radii):
-    comps = _sinai_like([tuple(c) for c in centers], list(radii),
-                        bounds=(1.0, 1.0))
-    return Table(tuple(comps), "sinai_torus", lattice=True,
-                 params={"centers": [list(c) for c in centers],
-                         "radii": list(radii)})
+    comps = _sinai_like(centers, radii, bounds=(1.0, 1.0))
+    return Table(tuple(comps), "sinai_torus", lattice=True)
 
 
 def _build_stadium(flat_length):
-    l = float(flat_length)
-    if l <= 0:
-        raise GeometryError("flat_length must be positive")
-    h = l / 2.0
+    h = _real("flat_length", flat_length, positive=True) / 2.0
     comps = (
         FlatSegment((-h, -1.0), (h, -1.0)),
         CircularArc((h, 0.0), 1.0, -math.pi / 2, math.pi / 2, dispersing=False),
         FlatSegment((h, 1.0), (-h, 1.0)),
         CircularArc((-h, 0.0), 1.0, math.pi / 2, 3 * math.pi / 2, dispersing=False),
     )
-    return Table(comps, "stadium", params={"flat_length": l})
+    return Table(comps, "stadium")
 
 
 def _build_squash(r1, r2, center_distance):
-    r1, r2, d = float(r1), float(r2), float(center_distance)
+    r1, r2 = _real("r1", r1), _real("r2", r2)
+    d = _real("center_distance", center_distance)
     if not (0 < r1 <= r2):
         raise GeometryError("need 0 < r1 <= r2")
     if d <= r2 - r1:
@@ -449,14 +467,12 @@ def _build_squash(r1, r2, center_distance):
         FlatSegment(a2, a1),
         CircularArc(c1, r1, th, TWO_PI - th, dispersing=False),  # < half circle
     )
-    return Table(comps, "squash",
-                 params={"r1": r1, "r2": r2, "center_distance": d})
+    return Table(comps, "squash")
 
 
 def _build_diamond(square_side, corner_radius):
-    a, r = float(square_side), float(corner_radius)
-    if a <= 0 or r <= 0:
-        raise GeometryError("square_side and corner_radius must be positive")
+    a = _real("square_side", square_side, positive=True)
+    r = _real("corner_radius", corner_radius, positive=True)
     if r >= a:
         raise GeometryError("corner_radius must be smaller than the side")
     # four dispersing quarter arcs centered at the square corners joined by
@@ -473,36 +489,39 @@ def _build_diamond(square_side, corner_radius):
         FlatSegment((0.0, a - r), (0.0, r)),
         CircularArc((0.0, 0.0), r, 0.0, pi / 2, dispersing=True),
     )
-    return Table(comps, "diamond",
-                 params={"square_side": a, "corner_radius": r})
+    return Table(comps, "diamond")
 
 
-def _parse_component(spec):
+def _parse_component(i, spec):
     if isinstance(spec, (FlatSegment, CircularArc)):
         return spec
-    kind = spec.get("kind")
+    if not isinstance(spec, dict):
+        raise GeometryError(f"component {i} must be a mapping, got {spec!r}")
+    kind, name = spec.get("kind"), f"component {i} "
     if kind == "flat":
-        return FlatSegment(tuple(spec["p0"]), tuple(spec["p1"]))
+        return FlatSegment(_point(name + "p0", spec.get("p0")),
+                           _point(name + "p1", spec.get("p1")))
     if kind == "arc":
-        return CircularArc(tuple(spec["center"]), float(spec["radius"]),
-                           float(spec["theta0"]), float(spec["theta1"]),
+        return CircularArc(_point(name + "center", spec.get("center")),
+                           _real(name + "radius", spec.get("radius")),
+                           _real(name + "theta0", spec.get("theta0")),
+                           _real(name + "theta1", spec.get("theta1")),
                            dispersing=bool(spec.get("dispersing", False)))
     raise GeometryError(f"unknown component kind {kind!r}")
 
 
 def _build_flower(components):
-    comps = tuple(_parse_component(c) for c in components)
+    comps = tuple(_parse_component(i, c) for i, c in enumerate(components))
     for i, c in enumerate(comps):
         if c.kind == "arc" and not c.dispersing and c.span > math.pi + 1e-9:
             raise GeometryError(
                 f"component {i}: focusing arc longer than half its circle")
-    return Table(comps, "flower", params={"n_components": len(comps)})
+    return Table(comps, "flower")
 
 
 def _build_semi_dispersing(width, height, centers, radii):
-    w, h = float(width), float(height)
-    if w <= 0 or h <= 0:
-        raise GeometryError("rectangle sides must be positive")
+    w = _real("width", width, positive=True)
+    h = _real("height", height, positive=True)
     walls = [
         FlatSegment((0.0, 0.0), (w, 0.0)),
         FlatSegment((w, 0.0), (w, h)),
@@ -510,11 +529,8 @@ def _build_semi_dispersing(width, height, centers, radii):
         FlatSegment((0.0, h), (0.0, 0.0)),
     ]
     # wall/scatterer conflicts are left for validate_table to report
-    scat = _sinai_like([tuple(c) for c in centers], list(radii), bounds=None)
-    return Table(tuple(walls + scat), "semi_dispersing",
-                 params={"width": w, "height": h,
-                         "centers": [list(c) for c in centers],
-                         "radii": list(radii)})
+    scat = _sinai_like(centers, radii)
+    return Table(tuple(walls + scat), "semi_dispersing")
 
 
 _BUILDERS = {
@@ -794,10 +810,9 @@ def make_hole(table, center_s, r):
     junction is rejected with a relocation hint.  On a closed scatterer loop
     the interval may wrap the parametrization seam.
     """
-    if r <= 0:
-        raise GeometryError("hole radius must be positive")
+    r = _real("hole radius", r, positive=True)
     per = table.perimeter
-    center_s = float(center_s) % per
+    center_s = _real("center_s", center_s) % per
     idx = table.component_of(center_s)
     comp = table.components[idx]
     lo = float(table.offsets[idx])
@@ -817,5 +832,5 @@ def make_hole(table, center_s, r):
                 f"hole [{center_s - r:.6g}, {center_s + r:.6g}] crosses a "
                 f"component junction; at this center the radius can be at "
                 f"most {max_r:.6g}, or move the center toward s = {mid:.6g}")
-    return Hole(center_s=center_s, radius=float(r), component=idx,
+    return Hole(center_s=center_s, radius=r, component=idx,
                 perimeter=per)

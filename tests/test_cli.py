@@ -1,11 +1,15 @@
+import copy
 import csv
 import json
+import math
+import re
+from pathlib import Path
 
 import pytest
 import yaml
 
 from openbilliards import build_table, dynamics, inducing
-from openbilliards.cli import main
+from openbilliards.cli import SCHEMA, main
 from openbilliards.geometry import cut_stadium_components
 
 SINAI_CFG = {
@@ -122,6 +126,7 @@ def test_run_seed_override_changes_hits(sinai_cfg, tmp_path):
         != (b / "r_0.05" / "hits.csv").read_bytes()
     manifest = json.loads((b / "manifest.json").read_text())
     assert manifest["resolved_seed"] == 99
+    assert manifest["config"]["run"]["seed"] == 99
 
 
 def test_run_requires_seed(tmp_path, capsys):
@@ -212,11 +217,43 @@ def test_inducing_marches_once_and_matches_separate_calls(tmp_path,
         "tail_max_n": int(tail.n[-1]), "cap_fraction": tail.cap_fraction}
 
 
+STADIUM = {"class": "stadium", "flat_length": 2.0}
+
+
 @pytest.mark.parametrize("change, message", [
     ({"run": {**SINAI_CFG["run"], "intervals": [[0.0, 1.0], [1.0, 4.0]]}},
      "past run.t_max"),
     ({"run": {**SINAI_CFG["run"], "seed": -1}}, "run.seed must be"),
     ({"hole": {"center_s": 0.3, "radii": ["a"]}}, "radii must be numbers"),
+    ({"run": [1, 2]}, "run must be a mapping"),
+    ({"run": {**SINAI_CFG["run"], "n_orbits": "many"}},
+     "run.n_orbits must be"),
+    ({"run": {**SINAI_CFG["run"], "n_orbits": 2.5}}, "run.n_orbits must be"),
+    ({"run": {**SINAI_CFG["run"], "t_max": -1}}, "run.t_max must be"),
+    ({"run": {"n_orbit": 300, "seed": 11}},
+     "unknown key run.n_orbit (did you mean run.n_orbits?)"),
+    ({"run": {**SINAI_CFG["run"], "intervals": [[0, "a"]]}},
+     "run.intervals must be"),
+    ({"chekcs": {"cones": True}}, "unknown key chekcs (did you mean checks?)"),
+    ({"checks": ["cones"]}, "checks must be a mapping"),
+    ({"budgets": {"cone_points": -5}}, "budgets.cone_points must be"),
+    ({"budgets": [1]}, "budgets must be a mapping"),
+    ({"thresholds": {"ks": "x"}}, "thresholds.ks must be"),
+    ({"out": 5}, "out must be a string"),
+    ({"table": {**STADIUM, "flat_length": "two"}}, "flat_length must be"),
+    ({"table": {**STADIUM, "flat_length": math.nan}}, "flat_length must be"),
+    ({"table": {**STADIUM, "flat_length": math.inf}}, "flat_length must be"),
+    ({"table": {"class": "squash", "r1": 0.6, "r2": "x",
+                "center_distance": 2.0}}, "r2 must be"),
+    ({"table": {"class": "diamond", "square_side": math.nan,
+                "corner_radius": 0.2}}, "square_side must be"),
+    ({"table": {"class": "sinai_torus", "centers": [[0.5]],
+                "radii": [0.2]}}, "centers[0] must be"),
+    ({"table": {"class": "flower", "components": [1]}},
+     "component 0 must be"),
+    ({"table": {"class": "flower", "components": [{"kind": "flat"}]}},
+     "component 0 p0 must be"),
+    ({"version": True}, "config must declare version: 1"),
 ])
 def test_run_rejects_bad_config_before_marching(change, message, tmp_path,
                                                 capsys, monkeypatch):
@@ -224,11 +261,135 @@ def test_run_rejects_bad_config_before_marching(change, message, tmp_path,
         raise AssertionError("a rejected config was marched")
 
     monkeypatch.setattr(dynamics, "step_batch", no_march)
+    monkeypatch.chdir(tmp_path)       # where `out` would put the outputs
     cfg = write_cfg(tmp_path / "c.yaml", {**SINAI_CFG, **change})
-    assert main(["validate", cfg]) == 2
-    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    commands = (["validate"], ["run"], ["check", "cones"], ["inducing"])
+    for command in commands:
+        assert main([*command, cfg]) == 2
     err = capsys.readouterr().err
-    assert err.count(f"error: ") == 2 and message in err
+    assert err.count("error: ") == len(commands)
+    assert err.count(message) == len(commands)
+    assert not (tmp_path / "results").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check", "cones", "--points", "0"], "budgets.cone_points must be"),
+    (["check", "cones", "--points", "-5"], "budgets.cone_points must be"),
+    (["check", "cones", "--vectors", "0"], "budgets.cone_vectors must be"),
+    (["check", "invariants", "--samples", "0"],
+     "budgets.invariance_samples must be"),
+    (["inducing", "--samples", "0"], "budgets.kac_samples must be"),
+    (["inducing", "--cap", "0"], "budgets.return_cap must be"),
+    (["run", "--seed", "-1"], "run.seed must be"),
+])
+def test_overrides_are_checked_like_their_keys(argv, message, sinai_cfg,
+                                               tmp_path, capsys,
+                                               monkeypatch):
+    def no_march(*args, **kwargs):
+        raise AssertionError("a rejected override was marched")
+
+    monkeypatch.setattr(dynamics, "step_batch", no_march)
+    assert main([*argv, sinai_cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error: ") == 1 and message in err
+
+
+def test_manifest_echoes_resolved_config(tmp_path):
+    cfg = write_cfg(tmp_path / "c.yaml",
+                    {"version": 1, "table": STADIUM, "run": {"seed": 1}})
+    out = tmp_path / "o"
+    assert main(["run", cfg, "--out", str(out), "--seed", "5"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    config = manifest["config"]
+    assert config["table"] == STADIUM and config["hole"] is None
+    assert config["run"] == {"seed": 5, "n_orbits": 1000, "t_max": 50.0,
+                             "intervals": []}
+    assert config["budgets"]["cone_points"] == 20000
+    assert config["thresholds"]["ks"] == 0.05
+    assert config["out"] == str(out)
+    assert manifest["resolved_seed"] == 5
+
+
+def test_readme_config_example_validates(tmp_path, capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    for section, keys in SCHEMA.items():
+        for key in keys:
+            assert f"| `{section}.{key}` |" in readme
+    example, = re.findall(r"```yaml\n(.*?)```", readme, re.S)
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(example)
+    assert main(["validate", str(cfg)]) == 0, capsys.readouterr().err
+
+
+# a tiny valid config with every check on and every budget small
+TINY_CFG = {
+    "version": 1,
+    "table": STADIUM,
+    "hole": {"center_s": 1.0, "radii": [0.9, 0.6]},     # short horizons
+    "run": {"seed": 3, "n_orbits": 10, "t_max": 2.0,
+            "intervals": [[0.0, 1.0], [1.0, 2.0]]},
+    "checks": {"cones": True, "invariance": True, "kac": True,
+               "short_returns": True, "quasi_section": True},
+    "budgets": {"cone_points": 20, "cone_vectors": 2, "kac_samples": 100,
+                "invariance_samples": 100, "return_cap": 50,
+                "short_return_hits": 10, "quasi_orbits": 10},
+    "thresholds": {"ks": 0.05, "tv": 0.05, "kac": 0.01, "invariance": 0.005,
+                   "cone_violations": 0},
+    "out": "results",
+}
+POOL = (None, "x", [], {}, -1, 0, 0.5, math.nan, math.inf, True)
+
+
+def _paths(node, path=()):
+    """Every (path, value) below node, through mappings and lists."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield path + (key,), value
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, path + (key,))
+
+
+def _mutations():
+    """Every single-key change to TINY_CFG, in a fixed order."""
+    for path, value in _paths(TINY_CFG):
+        in_budgets = path[0] == "budgets"
+        if not isinstance(value, dict) or not in_budgets:
+            for v in POOL:
+                yield path, "set", v
+        if isinstance(path[-1], str) and not in_budgets:
+            yield path, "delete", None
+        if isinstance(value, dict):
+            yield path + ("bogus",), "set", 1
+    yield ("bogus",), "set", 1
+
+
+def test_no_config_mutation_crashes_the_cli(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    commands = (["validate"], ["run"], ["check", "cones"],
+                ["check", "invariants"], ["inducing"])
+    failures, outcomes = [], {}
+    for i, (path, action, value) in enumerate(_mutations()):
+        cfg = copy.deepcopy(TINY_CFG)
+        *head, last = path
+        node = cfg
+        for key in head:
+            node = node[key]
+        if action == "delete":
+            del node[last]
+        else:
+            node[last] = value
+        cfg_path = write_cfg(tmp_path / f"m{i}.yaml", cfg)
+        for command in commands:
+            try:
+                code = main([*command, cfg_path])
+            except Exception as e:      # any exception is a crash
+                code = f"{type(e).__name__}: {e}"
+            outcomes[code] = outcomes.get(code, 0) + 1
+            if code not in (0, 2, 3):
+                failures.append((path, action, value, command, code))
+        capsys.readouterr()
+    assert not failures, failures[:10]
+    assert outcomes.get(0) and outcomes.get(2)   # both paths were taken
 
 
 def test_missing_config_file(tmp_path, capsys):
