@@ -32,11 +32,11 @@ from .geometry import (GeometryError, _is_real, build_table, make_hole,
 from .inducing import base_returns, kac_defect
 from .measure import invariance_defect
 from .openstats import (
+    CHECK_T_MAX,
     collect_hitting_family,
     count_statistics,
     ks_exp1,
-    quasi_section_defect,
-    short_return_fraction,
+    short_return_orbits,
     survival_curve,
 )
 
@@ -269,29 +269,33 @@ def cmd_run(args):
     intervals = [tuple(map(float, p)) for p in run["intervals"]]
 
     _write_json(out / "manifest.json", {
-        "config": conf,
-        "resolved_seed": seed,
-        "table_class": table.class_tag,
-        "perimeter": table.perimeter,
-        "package_version": __version__,
-    })
+        "config": conf, "resolved_seed": seed, "table_class": table.class_tag,
+        "perimeter": table.perimeter, "package_version": __version__})
     summary = {"table_class": table.class_tag, "seed": seed, "radii": [],
                "per_radius": {}, "checks": {}}
 
     if holes:
+        # per hole: the hitting run, then the marches its checks reduce
+        shapes = [(n_orbits, t_max)]
+        if checks["short_returns"]:
+            shapes.append((short_return_orbits(budgets["short_return_hits"],
+                                               CHECK_T_MAX), CHECK_T_MAX))
+        if checks["quasi_section"]:
+            shapes.append((budgets["quasi_orbits"], CHECK_T_MAX))
         t0 = perf_counter()
-        family = collect_hitting_family(table, holes, n_orbits, t_max, seed)
+        family = iter(collect_hitting_family(
+            table, [(hole, n, t) for hole in holes for n, t in shapes], seed,
+            track_induced=len(shapes) > 1))
         summary["march_s"] = perf_counter() - t0
-        for hole, data in zip(holes, family):
+        for hole in holes:
+            data = next(family)
             t0 = perf_counter()
-            r = hole.radius
-            tag = f"r_{r:g}"
+            tag = f"r_{hole.radius:g}"
             rdir = out / tag
             rdir.mkdir(exist_ok=True)
-            fh = data.first_hits()
-            eligible = ~data.censored_before_first_hit()
-            finite = fh[eligible][np.isfinite(fh[eligible])]
-            ks = ks_exp1(finite) if finite.size else None
+            fh = data.first_hits()[~data.censored_before_first_hit()]
+            fh = fh[np.isfinite(fh)]
+            ks = ks_exp1(fh) if fh.size else None
 
             grid = np.linspace(0.0, min(5.0, t_max), 101)
             sc = survival_curve(data, grid)
@@ -305,7 +309,9 @@ def cmd_run(args):
                         zip(sc.t, sc.empirical, sc.exponential)))
             entry = {
                 "mu": hole.measure, "ks_exp1": ks,
-                "survival_at_1": float(sc.empirical[np.argmin(np.abs(grid - 1.0))]),
+                # the grid stops at t_max: no S(1) below t_max = 1
+                "survival_at_1": float(sc.empirical[np.argmin(
+                    np.abs(grid - 1.0))]) if t_max >= 1.0 else None,
                 "censored_fraction": data.censored_fraction,
                 "excluded_before_first_hit": sc.excluded_fraction,
                 "n_orbits": n_orbits,
@@ -322,25 +328,20 @@ def cmd_run(args):
                     entry["count_correlation"] = float(cr.correlations[0, 1])
             diag = {"censoring": entry["censored_fraction"]}
             if checks["short_returns"]:
-                srr = short_return_fraction(
-                    table, hole, n_hits=budgets["short_return_hits"],
-                    seed=seed)
+                srr = next(family).short_returns()
                 entry["short_return_fraction"] = srr.fraction
-                diag["short_return"] = {
-                    "fraction": srr.fraction, "p": srr.p,
-                    "n_pairs": srr.n_pairs,
-                }
+                diag["short_return"] = {"fraction": srr.fraction, "p": srr.p,
+                                        "n_pairs": srr.n_pairs}
             if checks["quasi_section"]:
-                q = quasi_section_defect(
-                    table, hole, budgets["quasi_orbits"], seed)
+                q = next(family).quasi_section(
+                    table.components[hole.component].kind)
                 entry["quasi_section_defect"] = q.defect
                 diag["quasi_section"] = {
                     "defect": q.defect, "host_kind": q.host_kind,
-                    "n_excursions": q.n_excursions_with_hit,
-                }
+                    "n_excursions": q.n_excursions_with_hit}
             _write_json(rdir / "diagnostics.json", diag)
             entry["runtime_s"] = perf_counter() - t0
-            summary["radii"].append(r)
+            summary["radii"].append(hole.radius)
             summary["per_radius"][tag] = entry
 
     for name in ("cones", "invariance", "kac"):

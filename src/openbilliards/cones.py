@@ -90,7 +90,7 @@ def _start_slopes(K, n_vectors):
     return slopes, vertical
 
 
-def _scan_once(table, s, phi, n_vectors, tol):
+def _scan_once(table, s, phi, n_vectors):
     """Forward unstable-cone invariance over one point ensemble.
 
     Returns the tallies and the uncensored images (s1, phi1) of the points.
@@ -119,7 +119,7 @@ def _scan_once(table, s, phi, n_vectors, tol):
     margin = np.minimum(m_lo, m_hi)
     scale = np.maximum(1.0, np.abs(np.where(vert1, 0.0, sl1)))
     scale = np.maximum(scale, np.abs(lo1))
-    bad = margin < -tol * scale
+    bad = margin < -1e-12 * scale   # the slope tolerance, scaled
 
     # vertical fiber must land strictly inside the image cone
     vsl = K1 + np.cos(phi1) / tau
@@ -143,7 +143,7 @@ def _scan_once(table, s, phi, n_vectors, tol):
     }, s1, phi1
 
 
-def cone_invariance_scan(table, n_points, n_vectors, seed, tol=1e-12):
+def cone_invariance_scan(table, n_points, n_vectors, seed):
     """Checks Df C^u(x) inside C^u(f x) over an SRB ensemble.
 
     Runs the forward scan twice: once on sampled points (unstable cones) and
@@ -152,10 +152,10 @@ def cone_invariance_scan(table, n_points, n_vectors, seed, tol=1e-12):
     slope tolerance scaled by the magnitudes involved.
     """
     s, phi = SrbSampler(table, seed).sample(n_points)
-    fwd, s1, phi1 = _scan_once(table, s, phi, n_vectors, tol)
+    fwd, s1, phi1 = _scan_once(table, s, phi, n_vectors)
 
     # stable side: unstable invariance at the reflected image ensemble
-    rev, _, _ = _scan_once(table, s1, -phi1, n_vectors, tol)
+    rev, _, _ = _scan_once(table, s1, -phi1, n_vectors)
 
     total = fwd["total"] + rev["total"]
     censored = fwd["censored"] + rev["censored"]

@@ -140,7 +140,7 @@ def _candidates_bounded(bg, px, py, dx, dy, guard):
     return best_t, best_c
 
 
-def _candidates_lattice(bg, px, py, dx, dy, guard, max_cells):
+def _candidates_lattice(bg, px, py, dx, dy, guard):
     """Earliest scatterer intersection, unfolding through unit-cell images.
 
     Every scatterer disk sits strictly inside its cell, so testing only the
@@ -162,7 +162,7 @@ def _candidates_lattice(bg, px, py, dx, dy, guard, max_cells):
         tmaxy = np.where(dy != 0, (np.where(dy > 0, 1.0, 0.0) - py) / dy, np.inf)
 
     active = np.arange(n)
-    for _ in range(max_cells):
+    for _ in range(UNFOLD_MAX_CELLS):
         if active.size == 0:
             break
         best = np.full(active.size, np.inf)
@@ -207,7 +207,7 @@ def _candidates_lattice(bg, px, py, dx, dy, guard, max_cells):
     return tau, comp, cellx, celly, overflow
 
 
-def step_batch(table, s, phi, unfold_max_cells=UNFOLD_MAX_CELLS):
+def step_batch(table, s, phi):
     """One collision-to-collision step for arrays of phase coordinates.
 
     Returns (s1, phi1, tau, comp1, flag) arrays.  Lanes whose next impact is
@@ -224,7 +224,7 @@ def step_batch(table, s, phi, unfold_max_cells=UNFOLD_MAX_CELLS):
     overflow = None
     if table.lattice:
         tau, comp, cellx, celly, overflow = _candidates_lattice(
-            bg, px, py, dx, dy, guard, unfold_max_cells)
+            bg, px, py, dx, dy, guard)
     else:
         tau, comp = _candidates_bounded(bg, px, py, dx, dy, guard)
 
@@ -270,8 +270,7 @@ def step_batch(table, s, phi, unfold_max_cells=UNFOLD_MAX_CELLS):
     return s1, phi1, tau, comp, flag
 
 
-def march(table, s, phi, horizon, observe, comp=None,
-          unfold_max_cells=UNFOLD_MAX_CELLS):
+def march(table, s, phi, horizon, observe, comp=None):
     """The one orbit loop: step lanes (s, phi) up to horizon collisions.
 
     After step j, observe(j, lanes, s, phi, comp, prev) sees the lanes still
@@ -292,8 +291,7 @@ def march(table, s, phi, horizon, observe, comp=None,
     for j in range(1, horizon + 1):
         if lanes.size == 0:
             break
-        s, phi, _, now, flag = step_batch(
-            table, s, phi, unfold_max_cells=unfold_max_cells)
+        s, phi, _, now, flag = step_batch(table, s, phi)
         ok = flag == FLAG_OK
         if not ok.all():
             censor_step[lanes[~ok]] = j
@@ -308,25 +306,24 @@ def march(table, s, phi, horizon, observe, comp=None,
     return censor_step, censor_kind, lanes
 
 
-def next_collision(table, x, unfold_max_cells=UNFOLD_MAX_CELLS):
+def next_collision(table, x):
     """Scalar step: next collision from phase point x, flags included."""
     s1, phi1, tau, comp, flag = step_batch(
-        table, np.array([x.s]), np.array([x.phi]),
-        unfold_max_cells=unfold_max_cells)
+        table, np.array([x.s]), np.array([x.phi]))
     return CollisionResult(
         point=PhasePoint(float(s1[0]), float(phi1[0])),
         tau=float(tau[0]), component=int(comp[0]), flag=int(flag[0]))
 
 
-def billiard_map(table, x, unfold_max_cells=UNFOLD_MAX_CELLS):
+def billiard_map(table, x):
     """Scalar collision map; raises SingularOrbit on censored impacts."""
-    res = next_collision(table, x, unfold_max_cells=unfold_max_cells)
+    res = next_collision(table, x)
     if res.flag != FLAG_OK:
         raise SingularOrbit(f"censored collision: {res.flag_name}")
     return res.point
 
 
-def tangent_map_batch(table, s, phi, unfold_max_cells=UNFOLD_MAX_CELLS):
+def tangent_map_batch(table, s, phi):
     """Collision-map derivative at each lane, plus the underlying step data.
 
     Returns (M, step) where M has shape (n, 2, 2) acting on (ds, dphi) and
@@ -335,8 +332,7 @@ def tangent_map_batch(table, s, phi, unfold_max_cells=UNFOLD_MAX_CELLS):
     s = np.asarray(s, dtype=float)
     phi = np.asarray(phi, dtype=float)
     K0 = locate_batch(table, s)["K"]
-    s1, phi1, tau, comp, flag = step_batch(table, s, phi,
-                                           unfold_max_cells=unfold_max_cells)
+    s1, phi1, tau, comp, flag = step_batch(table, s, phi)
     K1 = locate_batch(table, s1)["K"]
     c0, c1 = np.cos(phi), np.cos(phi1)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -400,8 +396,7 @@ class OrbitRecord:
         return self.status != "completed"
 
 
-def orbit(table, x0, max_steps, hole=None, track_components=False,
-          unfold_max_cells=UNFOLD_MAX_CELLS):
+def orbit(table, x0, max_steps, hole=None, track_components=False):
     """Iterate the collision map from x0 for up to max_steps collisions.
 
     Records the indices i >= 1 whose impact lands inside the hole (the seed
@@ -419,9 +414,8 @@ def orbit(table, x0, max_steps, hole=None, track_components=False,
         if hole is not None and bool(hole.contains(s[0])):
             hits.append(i)
 
-    censor_step, censor_kind, _ = march(
-        table, last[0], last[1], max_steps, observe,
-        unfold_max_cells=unfold_max_cells)
+    censor_step, censor_kind, _ = march(table, last[0], last[1], max_steps,
+                                        observe)
     flag = int(censor_kind[0])
     return OrbitRecord(
         n_steps=int(censor_step[0]) - 1,

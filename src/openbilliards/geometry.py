@@ -611,10 +611,9 @@ def _seg_min_dist(p, seg):
     return math.hypot(wx - t * dx, wy - t * dy)
 
 
-def _in_span(arc, theta, margin=0.0):
+def _in_span(arc, theta):
     t0, t1 = arc.angles()
-    a = (theta - t0) % TWO_PI
-    return margin <= a <= (t1 - t0) - margin or arc.loop
+    return (theta - t0) % TWO_PI <= t1 - t0 or arc.loop
 
 
 def _arc_min_dist(p, arc):

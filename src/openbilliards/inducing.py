@@ -84,7 +84,7 @@ def _returns_batch(table, s, phi, comp0, cap):
     return R, cap_hit, censor_step <= cap
 
 
-def sample_base_points(table, n_samples, seed, stream=0):
+def sample_base_points(table, n_samples, seed):
     """Base points by rejection from SRB with one burn-in collision.
 
     The burn-in step populates the previous-component history; by invariance
@@ -92,8 +92,7 @@ def sample_base_points(table, n_samples, seed, stream=0):
     (s, phi, comp) arrays of accepted points, the empirical mu(X), and the
     fraction of lanes censored during burn-in.
     """
-    sampler = SrbSampler(table, seed, stream)
-    s, phi = sampler.sample(n_samples)
+    s, phi = SrbSampler(table, seed).sample(n_samples)
     comp_prev = locate_batch(table, s)["component"]
     s1, phi1, _, comp1, flag = step_batch(table, s, phi)
     ok = flag == FLAG_OK

@@ -70,7 +70,7 @@ class InvarianceReport:
     censored_fraction: float
 
 
-def invariance_defect(table, n, seed, stream=0, phi_mode="cosine"):
+def invariance_defect(table, n, seed, phi_mode="cosine"):
     """One-step pushforward test of SRB invariance.
 
     Pushes n sampled points through the collision map, drops censored lanes,
@@ -81,8 +81,7 @@ def invariance_defect(table, n, seed, stream=0, phi_mode="cosine"):
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    sampler = SrbSampler(table, seed, stream, phi_mode=phi_mode)
-    s, phi = sampler.sample(n)
+    s, phi = SrbSampler(table, seed, phi_mode=phi_mode).sample(n)
     s1, phi1, _, _, flag = step_batch(table, s, phi)
     ok = flag == FLAG_OK
     phi_sorted = np.sort(phi1[ok])

@@ -2,13 +2,12 @@
 
 A hole of boundary measure mu turns each orbit into a point process on the
 normalized time axis: a hit at collision i contributes the point i * mu.
-This module collects those processes over SRB-sampled orbits and computes
-the first-hitting survival law, KS distance to Exp(1), interval counts with
-total-variation distance to Poisson, short-return fractions in induced time,
-and the quasi-section defect of hole excursions.
-
-Everything is driven by one batch engine; initial conditions are drawn once
-per experiment (orbit i always owns sampler draws 2i, 2i+1), so results are
+collect_hitting_family collects those processes over SRB-sampled orbits for
+several (hole, n_orbits, t_max) requests in one march.  Every statistic is a
+reduction of the collected HittingData: the first-hitting survival law, KS
+distance to Exp(1), interval counts against Poisson (total variation),
+short-return fractions in induced time and the quasi-section defect of hole
+excursions.  Orbit i always owns sampler draws 2i, 2i+1, so results are
 bit-identical no matter how the work would be scheduled.
 """
 
@@ -21,11 +20,36 @@ import numpy as np
 
 # step_batch stays a module attribute: perfbench's tracer test looks it up here
 from .dynamics import march, step_batch  # noqa: F401
-from .geometry import locate_batch
 from .inducing import base_mask
 from .measure import SrbSampler, ks_statistic
 
 TV_TAIL_K = 20   # Poisson mass beyond this is < 1e-13 for lambda <= 3
+CHECK_T_MAX = 20.0   # normalized horizon of the short-return and quasi checks
+
+
+def short_return_orbits(n_hits, t_max):
+    """Orbits for about n_hits hits by t_max (one per unit time, +30%)."""
+    return max(int(math.ceil(1.3 * n_hits / t_max)), 1) if t_max > 0 else 1
+
+
+@dataclass(frozen=True)
+class ShortReturnReport:
+    fraction: float
+    p: int
+    n_pairs: int
+    mu: float
+    n_orbits: int
+    censored_fraction: float
+
+
+@dataclass(frozen=True)
+class QuasiSectionReport:
+    defect: float
+    n_excursions_with_hit: int
+    n_multi: int
+    host_kind: str
+    mu: float
+    censored_fraction: float
 
 
 @dataclass(frozen=True)
@@ -73,6 +97,45 @@ class HittingData:
         has_hit[self.hit_orbit] = True
         return ~has_hit & (self.censor_step <= self.horizon)
 
+    def short_returns(self, epsilon=0.1):
+        """Fraction of hole hits whose next hit comes within p induced steps.
+
+        p = ceil(mu^-(1-epsilon)).  Induced steps are entries into the
+        class's inducing base X between the two hits (plain collisions where
+        R = 1), so the data must carry hit_induced (track_induced).
+        """
+        p = math.ceil(self.mu ** -(1.0 - epsilon))
+        if self.hit_orbit.size == 0:
+            raise ValueError("no hole hits collected; cannot form a fraction")
+        same = self.hit_orbit[1:] == self.hit_orbit[:-1]
+        gaps = self.hit_induced[1:][same] - self.hit_induced[:-1][same]
+        if gaps.size == 0:
+            raise ValueError("no consecutive hit pairs collected")
+        return ShortReturnReport(float((gaps <= p).mean()), p,
+                                 int(gaps.size), self.mu, self.n_orbits,
+                                 self.censored_fraction)
+
+    def quasi_section(self, host_kind):
+        """Fraction of hole-visiting excursions with two or more hits.
+
+        An excursion is the block of collisions between consecutive entries
+        into the inducing base X (a hit at an entry belongs to the new
+        block).  Only completed excursions count: the orbit must re-enter X
+        after the hits.  For R = 1 classes every block is a single
+        collision, so the defect is exactly zero.  Needs track_induced data;
+        host_kind (the hole's component kind) is echoed in the report.
+        """
+        # group hits by (orbit, excursion id); an excursion is complete when
+        # the orbit's final induced counter moved past it
+        complete = self.hit_induced < self.final_induced[self.hit_orbit]
+        pairs = np.stack([self.hit_orbit[complete],
+                          self.hit_induced[complete]], axis=1)
+        _, sizes = np.unique(pairs, axis=0, return_counts=True)
+        n_hit_exc, n_multi = int(sizes.size), int((sizes >= 2).sum())
+        return QuasiSectionReport(n_multi / max(n_hit_exc, 1), n_hit_exc,
+                                  n_multi, host_kind, self.mu,
+                                  self.censored_fraction)
+
 
 def collect_hitting(table, hole, n_orbits, t_max, seed, track_induced=False):
     """March n_orbits SRB-seeded orbits and record hole hits.
@@ -83,62 +146,73 @@ def collect_hitting(table, hole, n_orbits, t_max, seed, track_induced=False):
     seen so far, which is what short-return and quasi-section statistics
     consume.
     """
-    return collect_hitting_family(table, [hole], n_orbits, t_max, seed,
+    return collect_hitting_family(table, [(hole, n_orbits, t_max)], seed,
                                   track_induced)[0]
 
 
-def collect_hitting_family(table, holes, n_orbits, t_max, seed,
-                           track_induced=False):
-    """collect_hitting for several holes, all in one march of the orbits.
+def collect_hitting_family(table, requests, seed, track_induced=False):
+    """collect_hitting for each (hole, n_orbits, t_max) request, from one
+    march of the first max(n_orbits) SRB orbits.
 
-    Neither the orbits nor their censoring depend on the hole, so each hole
-    keeps the hits and censoring up to its own horizon ceil(t_max / mu) and
-    its HittingData equals a separate collect_hitting call bit for bit; the
-    march runs only as long as the longest horizon.
+    SRB draws are prefix-stable and an orbit's hits and censoring depend on
+    nothing else, so each request, cut to its own orbit prefix and horizon
+    ceil(t_max / mu), equals a separate collect_hitting call bit for bit.
+    A lane retires once every request covering it is past its horizon.
     """
-    if n_orbits < 1:
+    widths = [n for _, n, _ in requests]
+    if min(widths, default=0) < 1:
         raise ValueError("need n_orbits >= 1")
-    horizons = [int(math.ceil(t_max / h.measure)) if t_max > 0 else 0
-                for h in holes]
-    s, phi = SrbSampler(table, seed).sample(n_orbits)
-    counter = np.zeros(n_orbits, dtype=np.int64) if track_induced else None
-    finals = [None] * len(holes)
+    horizons = [int(math.ceil(t_max / hole.measure)) if t_max > 0 else 0
+                for hole, _, t_max in requests]
+    n_lanes, longest = max(widths), max(horizons)
+    retire_at = set(horizons) - {longest}
+    s, phi = SrbSampler(table, seed).sample(n_lanes)
+    counter = np.zeros(n_lanes, dtype=np.int64) if track_induced else None
+    # per request: the induced counters at its horizon (none yet at step 0)
+    finals = [np.zeros(n, dtype=np.int64) if track_induced and not horizon
+              else None for n, horizon in zip(widths, horizons)]
     empty = np.empty(0, dtype=np.int64)
-    # per hole: orbit, index and induced-counter chunks
-    found = [([empty], [empty], [empty]) for _ in holes]
+    # per request: orbit, index and induced-counter chunks
+    found = [([empty], [empty], [empty]) for _ in requests]
 
     def observe(j, lanes, s, phi, now, prev):
         if track_induced:
             member = base_mask(table, now, prev)
             counter[lanes[member]] += 1
-        for k, hole in enumerate(holes):
+        for k, (hole, n, _) in enumerate(requests):
             if j > horizons[k]:
                 continue
-            hits = hole.contains(s)
+            own, own_s = lanes, s
+            if n < n_lanes:     # lanes stay sorted: the request's prefix
+                cut = np.searchsorted(lanes, n)
+                own, own_s = lanes[:cut], s[:cut]
+            hits = hole.contains(own_s)
             if hits.any():
-                ho = lanes[hits]
+                ho = own[hits]
                 found[k][0].append(ho)
                 found[k][1].append(np.full(ho.size, j, dtype=np.int64))
                 if track_induced:
                     found[k][2].append(counter[ho])
             if track_induced and j == horizons[k]:
-                finals[k] = counter.copy()
+                finals[k] = counter[:n].copy()
+        if j in retire_at:      # keep the lanes a longer request covers
+            width = max(n for n, h in zip(widths, horizons) if h > j)
+            return lanes < width if lanes[-1] >= width else None
 
-    censor_step, censor_kind, _ = march(table, s, phi,
-                                        max(horizons, default=0), observe)
+    censor_step, censor_kind, _ = march(table, s, phi, longest, observe)
     family = []
-    for hole, horizon, (orbits, index, induced), final in zip(
-            holes, horizons, found, finals):
+    for (hole, n, t_max), horizon, (orbits, index, induced), final in zip(
+            requests, horizons, found, finals):
         hit_orbit, hit_index = np.concatenate(orbits), np.concatenate(index)
         order = np.lexsort((hit_index, hit_orbit))
         if track_induced and final is None:
-            final = counter.copy()   # every lane stopped before this horizon
-        within = censor_step <= horizon
+            final = counter[:n].copy()   # every lane stopped before this horizon
+        within = censor_step[:n] <= horizon
         family.append(HittingData(
-            mu=hole.measure, n_orbits=n_orbits, horizon=horizon, t_max=t_max,
+            mu=hole.measure, n_orbits=n, horizon=horizon, t_max=t_max,
             seed=seed, hit_orbit=hit_orbit[order], hit_index=hit_index[order],
-            censor_step=np.where(within, censor_step, horizon + 1),
-            censor_kind=np.where(within, censor_kind, np.int8(0)),
+            censor_step=np.where(within, censor_step[:n], horizon + 1),
+            censor_kind=np.where(within, censor_kind[:n], np.int8(0)),
             hit_induced=np.concatenate(induced)[order] if track_induced
             else None, final_induced=final))
     return family
@@ -252,84 +326,18 @@ def count_statistics(data, intervals):
     )
 
 
-@dataclass(frozen=True)
-class ShortReturnReport:
-    fraction: float
-    p: int
-    n_pairs: int
-    mu: float
-    n_orbits: int
-    censored_fraction: float
-
-
 def short_return_fraction(table, hole, epsilon=0.1, n_hits=20000, seed=0,
-                          t_max=20.0):
-    """Fraction of hole hits whose next hit comes within p induced steps.
-
-    p = ceil(mu^-(1-epsilon)).  Induced steps are entries into the class's
-    inducing base X between the two hits (plain collisions where R = 1).
-    The orbit budget is sized from the unit hit rate: hits arrive at rate
-    one per normalized time unit, so about n_hits/t_max orbits suffice; the
-    schedule is fixed up front for determinism.
-    """
-    mu = hole.measure
-    p = math.ceil(mu ** -(1.0 - epsilon))
-    n_orbits = max(int(math.ceil(1.3 * n_hits / t_max)), 1) if t_max > 0 else 1
-    data = collect_hitting(table, hole, n_orbits, t_max, seed,
-                           track_induced=True)
-    if data.hit_orbit.size == 0:
-        raise ValueError("no hole hits collected; cannot form a fraction")
-    same = data.hit_orbit[1:] == data.hit_orbit[:-1]
-    gaps = data.hit_induced[1:][same] - data.hit_induced[:-1][same]
-    if gaps.size == 0:
-        raise ValueError("no consecutive hit pairs collected")
-    return ShortReturnReport(
-        fraction=float((gaps <= p).mean()),
-        p=p, n_pairs=int(gaps.size), mu=mu, n_orbits=n_orbits,
-        censored_fraction=data.censored_fraction,
-    )
+                          t_max=CHECK_T_MAX):
+    """HittingData.short_returns over short_return_orbits(n_hits, t_max)
+    orbits, a budget fixed up front for determinism."""
+    return collect_hitting(
+        table, hole, short_return_orbits(n_hits, t_max), t_max, seed,
+        track_induced=True).short_returns(epsilon)
 
 
-@dataclass(frozen=True)
-class QuasiSectionReport:
-    defect: float
-    n_excursions_with_hit: int
-    n_multi: int
-    host_kind: str
-    mu: float
-    censored_fraction: float
-
-
-def quasi_section_defect(table, hole, n_orbits, seed, t_max=20.0):
-    """Fraction of hole-visiting excursions with two or more hits.
-
-    An excursion is the block of collisions between consecutive entries into
-    the inducing base X (a hit at an entry belongs to the new block).  Only
-    completed excursions count: the orbit must re-enter X after the hits.
-    For R = 1 classes every block is a single collision, so the defect is
-    exactly zero.
-    """
-    data = collect_hitting(table, hole, n_orbits, t_max, seed,
-                           track_induced=True)
-    host_kind = table.components[locate_batch(
-        table, np.array([hole.center_s]))["component"][0]].kind
-    # group hits by (orbit, excursion id); an excursion is complete when the
-    # orbit's final induced counter moved past it
-    complete = data.hit_induced < data.final_induced[data.hit_orbit]
-    key_orbit = data.hit_orbit[complete]
-    key_exc = data.hit_induced[complete]
-    if key_orbit.size == 0:
-        return QuasiSectionReport(0.0, 0, 0, host_kind, data.mu,
-                                  data.censored_fraction)
-    pairs = np.stack([key_orbit, key_exc], axis=1)
-    _, sizes = np.unique(pairs, axis=0, return_counts=True)
-    n_hit_exc = int(sizes.size)
-    n_multi = int((sizes >= 2).sum())
-    return QuasiSectionReport(
-        defect=n_multi / n_hit_exc,
-        n_excursions_with_hit=n_hit_exc,
-        n_multi=n_multi,
-        host_kind=host_kind,
-        mu=data.mu,
-        censored_fraction=data.censored_fraction,
-    )
+def quasi_section_defect(table, hole, n_orbits, seed, t_max=CHECK_T_MAX):
+    """HittingData.quasi_section over n_orbits orbits, for the kind of the
+    component that holds the hole."""
+    return collect_hitting(
+        table, hole, n_orbits, t_max, seed, track_induced=True
+    ).quasi_section(table.components[hole.component].kind)

@@ -23,7 +23,8 @@ from openbilliards.geometry import cut_stadium_components, regular_flower_compon
 from openbilliards.inducing import kac_defect, return_tail
 from openbilliards.measure import SrbSampler, invariance_defect
 from openbilliards.openstats import (
-    collect_hitting,
+    CHECK_T_MAX,
+    collect_hitting_family,
     count_statistics,
     ks_exp1,
     quasi_section_defect,
@@ -67,26 +68,24 @@ def first_hit_ks(data):
     return ks_exp1(finite)
 
 
+def sweep(table, center_s, n_orbits, t_max, track_induced=False):
+    """Hitting data per radius of RADII, all from one march at seed 7."""
+    holes = [make_hole(table, center_s, r) for r in RADII]
+    family = collect_hitting_family(
+        table, [(hole, n_orbits, t_max) for hole in holes], 7, track_induced)
+    return dict(zip(RADII, family))
+
+
 @pytest.fixture(scope="module")
 def sinai_sweep(tables):
     """Hitting data per radius on the dispersing table (criteria 7 and 9)."""
-    table = tables["sinai_torus"]
-    out = {}
-    for r in RADII:
-        hole = make_hole(table, 0.3, r)
-        out[r] = collect_hitting(table, hole, 20000, 8.0, seed=7)
-    return out
+    return sweep(tables["sinai_torus"], 0.3, 20000, 8.0)
 
 
 @pytest.fixture(scope="module")
 def stadium_sweep(tables):
     """Hitting data per radius, hole centered on a stadium flat."""
-    table = tables["stadium"]
-    out = {}
-    for r in RADII:
-        hole = make_hole(table, 1.0, r)
-        out[r] = collect_hitting(table, hole, 20000, 8.0, seed=7)
-    return out
+    return sweep(tables["stadium"], 1.0, 20000, 8.0)
 
 
 def _fd_pass(table, s, phi, M, img, h):
@@ -330,9 +329,9 @@ def test_criterion_11_quasi_section_defect(tables):
     every collision starts its own excursion."""
     stadium = tables["stadium"]
     defects, ratios = [], []
-    for r in RADII:
-        rep = quasi_section_defect(stadium, make_hole(stadium, 1.0, r),
-                                   3000, seed=7)
+    for r, data in sweep(stadium, 1.0, 3000, CHECK_T_MAX, True).items():
+        hole = make_hole(stadium, 1.0, r)
+        rep = data.quasi_section(stadium.components[hole.component].kind)
         assert rep.host_kind == "flat"
         defects.append(rep.defect)
         ratios.append(rep.defect / r)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from openbilliards import build_table, dynamics, inducing
+from openbilliards import build_table, dynamics, inducing, make_hole, openstats
 from openbilliards.cli import SCHEMA, main
 from openbilliards.geometry import cut_stadium_components
 
@@ -215,6 +215,62 @@ def test_inducing_marches_once_and_matches_separate_calls(tmp_path,
         "kac_defect": kac.defect, "mu_x": kac.mu_x, "mean_R": kac.mean_R,
         "n_base": kac.n_base, "censored_fraction": kac.censored_fraction,
         "tail_max_n": int(tail.n[-1]), "cap_fraction": tail.cap_fraction}
+
+
+def test_run_marches_once_and_matches_separate_calls(tmp_path, monkeypatch):
+    cfg = {**SINAI_CFG, "checks": {"short_returns": True,
+                                   "quasi_section": True},
+           "budgets": {"short_return_hits": 2000, "quasi_orbits": 500}}
+    calls = []
+    march = dynamics.march
+
+    def counted(*args, **kwargs):
+        calls.append(args[3])
+        return march(*args, **kwargs)
+
+    for module in (dynamics, openstats, inducing):
+        if getattr(module, "march", None) is march:
+            monkeypatch.setattr(module, "march", counted)
+    out = tmp_path / "o"
+    assert main(["run", write_cfg(tmp_path / "c.yaml", cfg),
+                 "--out", str(out)]) == 0
+    assert len(calls) == 1
+    monkeypatch.undo()
+
+    plain = tmp_path / "plain"
+    assert main(["run", write_cfg(tmp_path / "p.yaml", SINAI_CFG),
+                 "--out", str(plain)]) == 0
+    table = build_table("sinai_torus", centers=[(0.5, 0.5)], radii=[0.2])
+    for r in (0.05, 0.02):
+        hole = make_hole(table, 0.3, r)
+        data = openstats.collect_hitting(table, hole, 300, 3.0, 11)
+        srr = openstats.short_return_fraction(table, hole, n_hits=2000,
+                                              seed=11)
+        q = openstats.quasi_section_defect(table, hole, 500, 11)
+        rdir = f"r_{r:g}"
+        assert json.loads((out / rdir / "diagnostics.json").read_text()) \
+            == {"censoring": data.censored_fraction,
+                "short_return": {"fraction": srr.fraction, "p": srr.p,
+                                 "n_pairs": srr.n_pairs},
+                "quasi_section": {"defect": q.defect,
+                                  "host_kind": q.host_kind,
+                                  "n_excursions": q.n_excursions_with_hit}}
+        for f in ("hits.csv", "survival.csv", "counts.csv"):
+            assert (out / rdir / f).read_bytes() \
+                == (plain / rdir / f).read_bytes()
+
+
+def test_run_survival_at_1_is_null_below_t_max_1(tmp_path):
+    cfg = {"version": 1, "table": {"class": "stadium", "flat_length": 2.0},
+           "hole": {"center_s": 1.0, "radii": [0.5]},
+           "run": {"seed": 2, "n_orbits": 200, "t_max": 0.5}}
+    out = tmp_path / "o"
+    assert main(["run", write_cfg(tmp_path / "c.yaml", cfg),
+                 "--out", str(out)]) == 0
+    entry = json.loads((out / "summary.json").read_text())["per_radius"]
+    assert entry["r_0.5"]["survival_at_1"] is None
+    survival = (out / "r_0.5" / "survival.csv").read_text().splitlines()
+    assert survival[-1].startswith("0.5,")
 
 
 STADIUM = {"class": "stadium", "flat_length": 2.0}

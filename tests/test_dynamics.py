@@ -23,6 +23,7 @@ from openbilliards import (
     billiard_map,
     build_table,
     curvature_evolve,
+    dynamics,
     expansion_factor,
     make_hole,
     next_collision,
@@ -327,11 +328,12 @@ def test_corner_impact_flagged():
     assert r.flag == FLAG_CORNER
 
 
-def test_unfold_overflow_flagged():
+def test_unfold_overflow_flagged(monkeypatch):
     table = make("sinai")
-    r = next_collision(table, PhasePoint(0.1, 0.3), unfold_max_cells=1)
+    monkeypatch.setattr(dynamics, "UNFOLD_MAX_CELLS", 1)
+    r = next_collision(table, PhasePoint(0.1, 0.3))
     assert r.flag == FLAG_UNFOLD
-    rec = orbit(table, PhasePoint(0.1, 0.3), 10, unfold_max_cells=1)
+    rec = orbit(table, PhasePoint(0.1, 0.3), 10)
     assert rec.status == "censored_horizon"
     assert rec.n_steps == 0
 

@@ -79,7 +79,7 @@ def holes_of(table):
 
 def offset_sampler(s, phi):
     """Stand-in for SrbSampler whose seed is an offset into one fixed orbit
-    set, so collect_hitting_family(..., n, ..., seed=lo) marches lanes
+    set, so collect_hitting_family with n orbits and seed=lo marches lanes
     lo .. lo + n - 1 of it."""
     class Sampler:
         def __init__(self, table, seed):
@@ -95,8 +95,9 @@ def chunked(table, holes, t_max, n, size):
     orbit ids shifted back to the whole set."""
     out = [{f: [] for f in FIELDS} for _ in holes]
     for lo in range(0, n, size):
-        part = collect_hitting_family(table, holes, min(size, n - lo), t_max,
-                                      lo, track_induced=True)
+        part = collect_hitting_family(
+            table, [(h, min(size, n - lo), t_max) for h in holes], lo,
+            track_induced=True)
         for rec, data in zip(out, part):
             for f in FIELDS:
                 shift = lo if f == "hit_orbit" else 0
@@ -113,8 +114,8 @@ def test_chunked_march_matches_whole(name, monkeypatch):
                         flag_by_landing(dynamics.step_batch))
     holes = holes_of(table)
     t_max = 100 * holes[0].measure        # horizons of about 100 and 200
-    whole = collect_hitting_family(table, holes, 26, t_max, 0,
-                                   track_induced=True)
+    whole = collect_hitting_family(table, [(h, 26, t_max) for h in holes],
+                                   0, track_induced=True)
     assert np.count_nonzero(whole[1].censor_kind) > 0
     assert np.count_nonzero(whole[1].censor_kind == FLAG_OK) > 0
     assert whole[1].hit_orbit.size > 0
@@ -125,6 +126,18 @@ def test_chunked_march_matches_whole(name, monkeypatch):
                 a = getattr(data, f)
                 assert np.array_equal(a, part[f]), (size, f)
                 assert a.dtype == part[f].dtype, (size, f)
+
+
+def assert_same(data, alone):
+    assert (data.mu, data.n_orbits, data.horizon, data.t_max,
+            data.seed) == (alone.mu, alone.n_orbits, alone.horizon,
+                           alone.t_max, alone.seed)
+    for f in FIELDS:
+        a, b = getattr(data, f), getattr(alone, f)
+        if b is None:
+            assert a is None
+        else:
+            assert np.array_equal(a, b) and a.dtype == b.dtype, f
 
 
 @pytest.mark.parametrize("track_induced", [False, True])
@@ -141,24 +154,53 @@ def test_nested_pass_equals_separate_calls(track_induced, monkeypatch):
 
     def run(fn, *args):
         monkeypatch.setattr(dynamics, "step_batch", flag_at(real, plan))
-        return fn(*args, 100, 1.0, 4, track_induced)
+        return fn(*args, 4, track_induced)
 
-    family = run(collect_hitting_family, table, holes)
+    family = run(collect_hitting_family, table,
+                 [(h, 100, 1.0) for h in holes])
     for hole, data in zip(holes, family):
-        alone = run(collect_hitting, table, hole)
-        assert (data.mu, data.n_orbits, data.horizon, data.t_max,
-                data.seed) == (alone.mu, alone.n_orbits, alone.horizon,
-                               alone.t_max, alone.seed)
-        for f in FIELDS:
-            a, b = getattr(data, f), getattr(alone, f)
-            if b is None:
-                assert a is None
-            else:
-                assert np.array_equal(a, b) and a.dtype == b.dtype, f
+        assert_same(data, run(collect_hitting, table, hole, 100, 1.0))
     kinds = [np.count_nonzero(d.censor_kind) for d in family]
     assert kinds == [3, 5, 5]
     assert family[0].censor_step.max() == family[0].horizon + 1
     assert np.count_nonzero(family[0].censor_step == h0) == 2
+
+
+@pytest.mark.parametrize("track_induced", [False, True])
+def test_unequal_requests_equal_separate_calls(track_induced, monkeypatch):
+    # requests with their own orbit prefixes and horizons, censored by
+    # landing (position plans shift with the batch width); the widest
+    # request is short, so lanes past the narrower ones retire early
+    table = TABLES["stadium"]()
+    big, small = make_hole(table, 1.0, 0.05), make_hole(table, 1.0, 0.02)
+    requests = [(big, 60, 0.5), (small, 25, 2.0), (big, 40, 3.0),
+                (small, 7, 1.0), (big, 25, 0.0)]
+    monkeypatch.setattr(dynamics, "step_batch",
+                        flag_by_landing(dynamics.step_batch))
+    steps = []
+    march = dynamics.march
+
+    def counted(table, s, phi, horizon, observe, comp=None):
+        def seen(j, lanes, *rest):
+            steps.append(lanes.size)
+            return observe(j, lanes, *rest)
+        return march(table, s, phi, horizon, seen, comp)
+
+    monkeypatch.setattr(openstats, "march", counted)
+    family = collect_hitting_family(table, requests, 5, track_induced)
+    n_steps, marched = len(steps), sum(steps)
+    for (hole, n, t_max), data in zip(requests, family):
+        assert_same(data, collect_hitting(table, hole, n, t_max, 5,
+                                          track_induced))
+    censored = [np.count_nonzero(d.censor_kind) for d in family]
+    assert censored[0] > 0 and censored[2] > censored[0]
+    assert family[1].hit_orbit.size > 0 and family[4].horizon == 0
+    # a lane is observed until its censoring or the longest horizon that
+    # covers it: lanes 0 .. 24 that of the second request, lanes 25 .. 39
+    # the third's, lanes 40 .. 59 the first's
+    assert n_steps == family[1].horizon == max(d.horizon for d in family)
+    assert marched == sum(int((d.censor_step[lo:] - 1).sum()) for d, lo in
+                          ((family[1], 0), (family[2], 25), (family[0], 40)))
 
 
 def test_family_matches_scalar_orbits():
@@ -166,7 +208,7 @@ def test_family_matches_scalar_orbits():
     # own horizon, with the induced counter rebuilt from its components
     table = TABLES["stadium"]()
     holes = [make_hole(table, 1.0, r) for r in (0.05, 0.02)]
-    family = collect_hitting_family(table, holes, 8, 1.0, 2,
+    family = collect_hitting_family(table, [(h, 8, 1.0) for h in holes], 2,
                                     track_induced=True)
     s, phi = SrbSampler(table, 2).sample(8)
     comp0 = locate_batch(table, s)["component"]

@@ -26,19 +26,25 @@ def stadium():
     return build_table("stadium", flat_length=2.0)
 
 
-def synth(mu, n_orbits, t_max, hits, censor_step=None):
-    """Hand-built HittingData from (orbit, index) pairs."""
+def synth(mu, n_orbits, t_max, hits, censor_step=None, final_induced=None):
+    """Hand-built HittingData from (orbit, index) pairs, or from (orbit,
+    index, induced counter) triples plus the final induced counters."""
     horizon = int(math.ceil(t_max / mu))
     hits = sorted(hits)
     orb = np.array([h[0] for h in hits], dtype=np.int64)
     idx = np.array([h[1] for h in hits], dtype=np.int64)
     if censor_step is None:
         censor_step = np.full(n_orbits, horizon + 1, dtype=np.int64)
+    induced = None
+    if final_induced is not None:
+        induced = np.array([h[2] for h in hits], dtype=np.int64)
+        final_induced = np.asarray(final_induced, dtype=np.int64)
     return HittingData(
         mu=mu, n_orbits=n_orbits, horizon=horizon, t_max=t_max, seed=0,
         hit_orbit=orb, hit_index=idx,
         censor_step=np.asarray(censor_step, dtype=np.int64),
         censor_kind=np.zeros(n_orbits, dtype=np.int8),
+        hit_induced=induced, final_induced=final_induced,
     )
 
 
@@ -191,6 +197,44 @@ def test_counts_correlation_matrix():
     assert rep.correlations.shape == (2, 2)
     assert rep.correlations[0, 0] == pytest.approx(1.0)
     assert abs(rep.correlations[0, 1]) <= 1.0
+
+
+def test_short_returns_reduction():
+    # p = ceil(0.25^-0.5) = 2; gaps per orbit: 2, 1 (orbit 0) and 5 (orbit
+    # 1); the pair 4 -> 5 across the orbit boundary is no gap
+    data = synth(0.25, 3, 4.0, [(0, 1, 1), (0, 2, 3), (0, 3, 4), (1, 2, 5),
+                                (1, 9, 10), (2, 4, 7)],
+                 final_induced=[9, 12, 8])
+    rep = data.short_returns(epsilon=0.5)
+    assert (rep.p, rep.n_pairs, rep.n_orbits, rep.mu) == (2, 3, 3, 0.25)
+    assert rep.fraction == pytest.approx(2 / 3)
+    assert rep.censored_fraction == 0.0
+
+
+def test_short_returns_reduction_errors():
+    with pytest.raises(ValueError, match="no hole hits"):
+        synth(0.25, 2, 4.0, [], final_induced=[0, 0]).short_returns()
+    lone = synth(0.25, 2, 4.0, [(0, 1, 1), (1, 3, 2)], final_induced=[3, 3])
+    with pytest.raises(ValueError, match="no consecutive hit pairs"):
+        lone.short_returns()
+
+
+def test_quasi_section_reduction():
+    # excursions hit: (0, 2) twice and (0, 5) once, complete; (1, 3) twice
+    # but orbit 1 never re-enters the base after it; (2, 1) once
+    data = synth(0.1, 3, 4.0, [(0, 4, 2), (0, 6, 2), (0, 20, 5), (1, 7, 3),
+                               (1, 8, 3), (2, 9, 1)],
+                 final_induced=[6, 3, 4])
+    rep = data.quasi_section("flat")
+    assert (rep.n_excursions_with_hit, rep.n_multi) == (3, 1)
+    assert rep.defect == pytest.approx(1 / 3)
+    assert (rep.host_kind, rep.mu, rep.censored_fraction) == ("flat", 0.1,
+                                                              0.0)
+    only_open = synth(0.1, 2, 4.0, [(1, 7, 3), (1, 8, 3)],
+                      final_induced=[0, 3])
+    rep = only_open.quasi_section("arc")
+    assert (rep.defect, rep.n_excursions_with_hit, rep.n_multi,
+            rep.host_kind) == (0.0, 0, 0, "arc")
 
 
 def test_short_return_sinai(sinai):
