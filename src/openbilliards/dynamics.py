@@ -6,7 +6,9 @@ the inward normal toward the traversal tangent, so the outgoing direction is
 cos(phi) * n + sin(phi) * t.
 
 Everything flows through one vectorized kernel (step_batch); the scalar API
-wraps single-lane arrays so there is exactly one arithmetic path.
+wraps single-lane arrays so there is exactly one arithmetic path.  Inside it,
+one ray-boundary test (_nearest) serves every table at cell offset (0, 0);
+on the torus the lanes that miss their own cell walk the unit cells with it.
 """
 
 from __future__ import annotations
@@ -66,16 +68,6 @@ class CollisionResult:
         return FLAG_NAMES[self.flag]
 
 
-def flight_ray(table, s, phi):
-    """Foot point and unit flight direction for batch coordinates (s, phi)."""
-    loc = locate_batch(table, s)
-    phi = np.asarray(phi, dtype=float)
-    c, sn = np.cos(phi), np.sin(phi)
-    dx = c * loc["nx"] + sn * loc["tx"]
-    dy = c * loc["ny"] + sn * loc["ty"]
-    return loc, dx, dy
-
-
 def _arc_progress(bg, comp, theta):
     """Within-arc arclength from the impact angle, clamped to the span."""
     raw = (bg.tdir[comp] * (theta - bg.theta_ref[comp])) % (2.0 * math.pi)
@@ -86,69 +78,81 @@ def _arc_progress(bg, comp, theta):
     return np.clip(raw, 0.0, span) * bg.rho[comp]
 
 
-def _candidates_bounded(bg, px, py, dx, dy, guard):
-    """Earliest boundary intersection over all components (bounded tables)."""
-    n = px.size
-    best_t = np.full(n, np.inf)
-    best_c = np.full(n, -1, dtype=np.int64)
+def _on_arc(bg, j, px, py, dx, dy, cx, cy, r, below):
+    """r where the ray meets arc j (centre (cx, cy)) inside its angular span,
+    inf elsewhere; only lanes with r < below are tested."""
+    sel = np.flatnonzero(r < below)
+    if np.ndim(cx):
+        cx, cy = cx[sel], cy[sel]
+    th = np.arctan2(py[sel] + r[sel] * dy[sel] - cy,
+                    px[sel] + r[sel] * dx[sel] - cx)
+    raw = (bg.tdir[j] * (th - bg.theta_ref[j])) % (2.0 * math.pi)
+    slack = 1e-9 * max(bg.span[j], 1e-3)
+    sel = sel[(raw <= bg.span[j] + slack) | (raw >= 2.0 * math.pi - slack)]
+    out = np.full(r.size, np.inf)
+    out[sel] = r[sel]
+    return out
+
+
+def _nearest(bg, px, py, dx, dy, ox, oy, guard):
+    """The ray-boundary test: earliest hit, beyond guard, of the rays
+    p + t d on every component shifted by the cell offset (ox, oy), scalars
+    or one per lane.  Returns (tau, comp), inf and -1 where a ray meets
+    nothing."""
+    tau = np.full(px.size, np.inf)
+    comp = np.full(px.size, -1, dtype=np.int64)
     for j in range(bg.n):
         if bg.is_arc[j]:
-            relx = px - bg.center[j, 0]
-            rely = py - bg.center[j, 1]
+            cx, cy = bg.center[j, 0] + ox, bg.center[j, 1] + oy
+            relx, rely = px - cx, py - cy
             b = relx * dx + rely * dy
-            cc = relx * relx + rely * rely - bg.rho[j] ** 2
-            disc = b * b - cc
+            disc = b * b - (relx * relx + rely * rely - bg.rho[j] ** 2)
             hitable = disc > 0.0
             sq = np.sqrt(np.where(hitable, disc, 0.0))
-            cand = np.full(n, np.inf)
-            for root in (-b - sq, -b + sq):
-                ok = hitable & (root > guard) & (root < cand)
-                if not np.any(ok):
-                    continue
-                if bg.loop[j]:
-                    cand = np.where(ok, root, cand)
-                    continue
-                hx = px[ok] + root[ok] * dx[ok]
-                hy = py[ok] + root[ok] * dy[ok]
-                th = np.arctan2(hy - bg.center[j, 1], hx - bg.center[j, 0])
-                raw = (bg.tdir[j] * (th - bg.theta_ref[j])) % (2.0 * math.pi)
-                slack = 1e-9 * max(bg.span[j], 1e-3)
-                inside = (raw <= bg.span[j] + slack) | (raw >= 2.0 * math.pi - slack)
-                sel = np.where(ok)[0][inside]
-                cand[sel] = np.minimum(cand[sel], root[sel])
+            r1 = -b - sq
+            r1 = np.where(hitable & (r1 > guard), r1, np.inf)
+            r2 = -b + sq
+            r2 = np.where(hitable & (r2 > guard), r2, np.inf)
+            if not bg.loop[j]:
+                r1 = _on_arc(bg, j, px, py, dx, dy, cx, cy, r1, np.inf)
+                # r2 >= r1, so r2 matters only where r1 missed the span
+                r2 = _on_arc(bg, j, px, py, dx, dy, cx, cy, r2, r1)
+            cand = np.minimum(r1, r2)
         else:
+            p0x, p0y = bg.p0[j, 0] + ox, bg.p0[j, 1] + oy
             den = dx * bg.norm[j, 0] + dy * bg.norm[j, 1]
             approach = den < -1e-14
             t = np.where(
                 approach,
-                ((bg.p0[j, 0] - px) * bg.norm[j, 0]
-                 + (bg.p0[j, 1] - py) * bg.norm[j, 1]) / np.where(approach, den, 1.0),
+                ((p0x - px) * bg.norm[j, 0]
+                 + (p0y - py) * bg.norm[j, 1]) / np.where(approach, den, 1.0),
                 np.inf)
             ok = approach & (t > guard) & np.isfinite(t)
             ts = np.where(ok, t, 0.0)
             u = np.where(
                 ok,
-                (px + ts * dx - bg.p0[j, 0]) * bg.tang[j, 0]
-                + (py + ts * dy - bg.p0[j, 1]) * bg.tang[j, 1],
+                (px + ts * dx - p0x) * bg.tang[j, 0]
+                + (py + ts * dy - p0y) * bg.tang[j, 1],
                 -1.0)
             slack = 1e-9 * bg.length[j]
             cand = np.where(ok & (u >= -slack) & (u <= bg.length[j] + slack),
                             t, np.inf)
-        upd = cand < best_t
-        best_t[upd] = cand[upd]
-        best_c[upd] = j
-    return best_t, best_c
+        upd = cand < tau
+        tau[upd] = cand[upd]
+        comp[upd] = j
+    return tau, comp
 
 
-def _candidates_lattice(bg, px, py, dx, dy, guard):
-    """Earliest scatterer intersection, unfolding through unit-cell images.
+def _unfold(bg, px, py, dx, dy, guard, tau, comp):
+    """Walk the lanes that missed their own cell through the unit cells
+    their rays enter (Amanatides & Woo), filling tau and comp in place.
 
     Every scatterer disk sits strictly inside its cell, so testing only the
-    cells the ray traverses (in entry order) is exact.
+    cells the ray traverses (in entry order) is exact.  Returns each lane's
+    cell offset and the overflow mask: lanes that met nothing in
+    UNFOLD_MAX_CELLS cells, whose offset has taken one more walk step.
     """
     n = px.size
-    tau = np.full(n, np.inf)
-    comp = np.full(n, -1, dtype=np.int64)
     cellx = np.zeros(n)
     celly = np.zeros(n)
     overflow = np.zeros(n, dtype=bool)
@@ -161,38 +165,8 @@ def _candidates_lattice(bg, px, py, dx, dy, guard):
         tmaxx = np.where(dx != 0, (np.where(dx > 0, 1.0, 0.0) - px) / dx, np.inf)
         tmaxy = np.where(dy != 0, (np.where(dy > 0, 1.0, 0.0) - py) / dy, np.inf)
 
-    active = np.arange(n)
-    for _ in range(UNFOLD_MAX_CELLS):
-        if active.size == 0:
-            break
-        best = np.full(active.size, np.inf)
-        bestk = np.full(active.size, -1, dtype=np.int64)
-        pxa, pya = px[active], py[active]
-        dxa, dya = dx[active], dy[active]
-        for k in range(bg.n):
-            cx = bg.center[k, 0] + cellx[active]
-            cy = bg.center[k, 1] + celly[active]
-            relx = pxa - cx
-            rely = pya - cy
-            b = relx * dxa + rely * dya
-            cc = relx * relx + rely * rely - bg.rho[k] ** 2
-            disc = b * b - cc
-            hitable = disc > 0.0
-            sq = np.sqrt(np.where(hitable, disc, 0.0))
-            r1 = -b - sq
-            r2 = -b + sq
-            r1 = np.where(hitable & (r1 > guard), r1, np.inf)
-            r2 = np.where(hitable & (r2 > guard), r2, np.inf)
-            rk = np.minimum(r1, r2)
-            upd = rk < best
-            best[upd] = rk[upd]
-            bestk[upd] = k
-        hit = np.isfinite(best)
-        if np.any(hit):
-            li = active[hit]
-            tau[li] = best[hit]
-            comp[li] = bestk[hit]
-        active = active[~hit]
+    active = np.flatnonzero(tau == np.inf)
+    for cells in range(1, UNFOLD_MAX_CELLS + 1):
         if active.size == 0:
             break
         mx = tmaxx[active] < tmaxy[active]
@@ -202,9 +176,16 @@ def _candidates_lattice(bg, px, py, dx, dy, guard):
         tmaxx[ax] += tdx[ax]
         celly[ay] += stepy[ay]
         tmaxy[ay] += tdy[ay]
-    else:
-        overflow[active] = True
-    return tau, comp, cellx, celly, overflow
+        if cells == UNFOLD_MAX_CELLS:
+            overflow[active] = True
+            break
+        t, k = _nearest(bg, px[active], py[active], dx[active], dy[active],
+                        cellx[active], celly[active], guard)
+        hit = t < np.inf
+        tau[active[hit]] = t[hit]
+        comp[active[hit]] = k[hit]
+        active = active[~hit]
+    return cellx, celly, overflow
 
 
 def step_batch(table, s, phi):
@@ -217,16 +198,18 @@ def step_batch(table, s, phi):
     """
     bg = table._bg
     s = np.asarray(s, dtype=float)
-    loc, dx, dy = flight_ray(table, s, phi)
+    phi = np.asarray(phi, dtype=float)
+    loc = locate_batch(table, s)
     px, py = loc["x"], loc["y"]
+    c, sn = np.cos(phi), np.sin(phi)
+    dx = c * loc["nx"] + sn * loc["tx"]
+    dy = c * loc["ny"] + sn * loc["ty"]
+    del loc, c, sn  # only the rays stay alive through the search
     guard = GUARD_FACTOR * table.diameter
 
-    overflow = None
+    tau, comp = _nearest(bg, px, py, dx, dy, 0.0, 0.0, guard)
     if table.lattice:
-        tau, comp, cellx, celly, overflow = _candidates_lattice(
-            bg, px, py, dx, dy, guard)
-    else:
-        tau, comp = _candidates_bounded(bg, px, py, dx, dy, guard)
+        cellx, celly, overflow = _unfold(bg, px, py, dx, dy, guard, tau, comp)
 
     lost = ~np.isfinite(tau)
     safe_tau = np.where(lost, 0.0, tau)
@@ -240,8 +223,8 @@ def step_batch(table, s, phi):
     arc = bg.is_arc[compc]
     if np.any(arc):
         i = compc[arc]
-        ox = bg.center[i, 0] + (cellx[arc] if overflow is not None else 0.0)
-        oy = bg.center[i, 1] + (celly[arc] if overflow is not None else 0.0)
+        ox = bg.center[i, 0] + (cellx[arc] if table.lattice else 0.0)
+        oy = bg.center[i, 1] + (celly[arc] if table.lattice else 0.0)
         th = np.arctan2(hy[arc] - oy, hx[arc] - ox)
         n1x[arc] = bg.sigma[i] * np.cos(th)
         n1y[arc] = bg.sigma[i] * np.sin(th)
@@ -265,7 +248,7 @@ def step_batch(table, s, phi):
     flag[np.abs(phi1) > math.pi / 2 - EPS_GRAZE] = FLAG_GRAZING
     flag[bg.near_junction(s1)] = FLAG_CORNER
     flag[lost] = FLAG_LOST
-    if overflow is not None:
+    if table.lattice:
         flag[overflow] = FLAG_UNFOLD
     return s1, phi1, tau, comp, flag
 
@@ -284,7 +267,7 @@ def march(table, s, phi, horizon, observe, comp=None):
     """
     s = np.asarray(s, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    prev = locate_batch(table, s)["component"] if comp is None else comp
+    prev = table._bg.component(s % table.perimeter) if comp is None else comp
     censor_step = np.full(s.size, horizon + 1, dtype=np.int64)
     censor_kind = np.zeros(s.size, dtype=np.int8)
     lanes = np.arange(s.size)
@@ -329,11 +312,12 @@ def tangent_map_batch(table, s, phi):
     Returns (M, step) where M has shape (n, 2, 2) acting on (ds, dphi) and
     step is the (s1, phi1, tau, comp1, flag) tuple.
     """
+    bg = table._bg
     s = np.asarray(s, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    K0 = locate_batch(table, s)["K"]
+    K0 = bg.K[bg.component(s % bg.perimeter)]
     s1, phi1, tau, comp, flag = step_batch(table, s, phi)
-    K1 = locate_batch(table, s1)["K"]
+    K1 = bg.K[bg.component(s1)]
     c0, c1 = np.cos(phi), np.cos(phi1)
     with np.errstate(divide="ignore", invalid="ignore"):
         f = -1.0 / c1

@@ -261,23 +261,19 @@ class Table:
 
     @cached_property
     def junction_s(self):
-        """Sorted arclength values of component junctions (loop seams excluded)."""
+        """Sorted arclength values of component junctions (loop seams
+        excluded).  Arclength does not wrap across chains, so a chain's
+        closing corner is listed at both offsets[a] and offsets[b + 1]."""
         js = []
         for a, b in self.chains:
             if a == b and getattr(self.components[a], "loop", False):
                 continue
-            for i in range(a, b + 1):
-                js.append(float(self.offsets[i]))
+            js.extend(float(self.offsets[i]) for i in range(a, b + 2))
         return np.asarray(sorted(js))
 
     @cached_property
     def _bg(self):
         return _BatchGeometry(self)
-
-    def component_of(self, s):
-        s = float(s) % self.perimeter
-        idx = int(np.searchsorted(self.offsets, s, side="right")) - 1
-        return min(max(idx, 0), len(self.components) - 1)
 
 
 class _BatchGeometry:
@@ -319,6 +315,12 @@ class _BatchGeometry:
         self.junction_s = table.junction_s
         self.corner_tol = table.corner_tol
 
+    def component(self, s):
+        """The arclength -> component lookup, for s already reduced mod the
+        perimeter (s equal to the perimeter maps to the last component)."""
+        return np.clip(np.searchsorted(self.s_end, s, side="right"),
+                       0, self.n - 1)
+
     def near_junction(self, s):
         """Corner test: which s (already reduced mod the perimeter) lie
         within corner_tol of a component junction."""
@@ -328,22 +330,18 @@ class _BatchGeometry:
         j = np.searchsorted(js, s)
         d = np.minimum(np.abs(s - js[np.maximum(j - 1, 0)]),
                        np.abs(js[np.minimum(j, js.size - 1)] - s))
-        # wrap-around distance to the first/last junction
-        d = np.minimum(d, np.abs(s - js[0] - self.perimeter))
-        d = np.minimum(d, np.abs(js[-1] + self.perimeter - s))
         return d <= self.corner_tol
 
 
 def locate_batch(table, s):
     """Vectorized boundary lookup.
 
-    Returns a dict with component index, within-component parameter u,
-    position, inward normal, traversal tangent, curvature and corner flag.
+    Returns a dict with component index, position, inward normal,
+    traversal tangent and curvature.
     """
     bg = table._bg
     s = np.asarray(s, dtype=float) % bg.perimeter
-    idx = np.searchsorted(bg.s_end, s, side="right")
-    idx = np.clip(idx, 0, bg.n - 1)
+    idx = bg.component(s)
     u = np.clip(s - bg.s_off[idx], 0.0, bg.length[idx])
 
     x = np.empty_like(s)
@@ -369,8 +367,8 @@ def locate_batch(table, s):
         ny[arc] = bg.sigma[i] * st
     tx, ty = ny, -nx  # tangent = inward normal rotated -90 deg
 
-    return {"component": idx, "u": u, "x": x, "y": y, "nx": nx, "ny": ny,
-            "tx": tx, "ty": ty, "K": bg.K[idx], "corner": bg.near_junction(s)}
+    return {"component": idx, "x": x, "y": y, "nx": nx, "ny": ny,
+            "tx": tx, "ty": ty, "K": bg.K[idx]}
 
 
 @dataclass(frozen=True)
@@ -389,14 +387,15 @@ class BoundaryPoint:
 def locate(table, s):
     """Boundary point at arclength s (s taken modulo the perimeter)."""
     out = locate_batch(table, np.asarray([s], dtype=float))
+    s = float(np.asarray(s) % table.perimeter)
     return BoundaryPoint(
-        s=float(np.asarray(s) % table.perimeter),
+        s=s,
         position=(float(out["x"][0]), float(out["y"][0])),
         normal=(float(out["nx"][0]), float(out["ny"][0])),
         tangent=(float(out["tx"][0]), float(out["ty"][0])),
         curvature=float(out["K"][0]),
         component=int(out["component"][0]),
-        corner=bool(out["corner"][0]),
+        corner=bool(table._bg.near_junction(s)),
     )
 
 
@@ -812,7 +811,7 @@ def make_hole(table, center_s, r):
     r = _real("hole radius", r, positive=True)
     per = table.perimeter
     center_s = _real("center_s", center_s) % per
-    idx = table.component_of(center_s)
+    idx = int(table._bg.component(center_s))
     comp = table.components[idx]
     lo = float(table.offsets[idx])
     hi = float(table.offsets[idx + 1])

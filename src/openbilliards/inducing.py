@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import FLAG_OK, PhasePoint, march, step_batch
-from .geometry import locate_batch
 from .measure import SrbSampler
 
 RETURN_CAP = 100_000
@@ -93,7 +92,7 @@ def sample_base_points(table, n_samples, seed):
     fraction of lanes censored during burn-in.
     """
     s, phi = SrbSampler(table, seed).sample(n_samples)
-    comp_prev = locate_batch(table, s)["component"]
+    comp_prev = table._bg.component(s)
     s1, phi1, _, comp1, flag = step_batch(table, s, phi)
     ok = flag == FLAG_OK
     member = base_mask(table, comp1, comp_prev) & ok

@@ -226,7 +226,18 @@ if __name__ == "__main__":
                              centers=[(1.0, 0.5)], radii=[0.3]),
          0.7, 0.1, 8),
     ]
-    for name, table, s0, phi0, n in cases:
+    # single flights along infinite-horizon corridors, 100 < tau < 250 (the
+    # image search stops at half-width 256); no Jacobian is frozen for them
+    sinai = cases[0][1]
+    two = build_table("sinai_torus", centers=[(0.3, 0.3), (0.75, 0.7)],
+                      radii=[0.15, 0.1])
+    long_flights = [
+        ("sinai_long_a", sinai, 0.786306516989437, 1.564467927794842, 1),
+        ("sinai_long_b", sinai, 0.9407816183629261, -1.5595633179671105, 1),
+        ("two_long_a", two, 0.3065558596635953, 1.5611405057142984, 1),
+        ("two_long_b", two, 0.5890996223675177, -1.568923507744069, 1),
+    ]
+    for name, table, s0, phi0, n in cases + long_flights:
         tab = from_table(table)
         print(f'    "{name}": [')
         for s, phi, tau, j in trace(tab, mp.mpf(s0), mp.mpf(phi0), n):

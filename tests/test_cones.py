@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from openbilliards import build_table
+from openbilliards import FLAG_GRAZING, build_table, dynamics
 from openbilliards.cones import (
     Cone,
     cone_at,
@@ -124,3 +124,23 @@ def test_scan_deterministic(sinai):
     a = cone_invariance_scan(sinai, 2000, 4, seed=3)
     b = cone_invariance_scan(sinai, 2000, 4, seed=3)
     assert a == b
+
+
+def test_censored_fraction_is_share_of_scanned_lanes(stadium, monkeypatch):
+    """Each pass censors the impacts landing in a band of s; the reported
+    fraction is the flagged lanes over all lanes both passes stepped."""
+    step = dynamics.step_batch
+    flags = []
+
+    def flagged(table, s, phi):
+        s1, phi1, tau, comp, flag = step(table, s, phi)
+        band = (s1 * 977.0) % 1.0 < 0.1
+        flag = np.where(band, np.int8(FLAG_GRAZING), flag)
+        flags.append(flag)
+        return s1, phi1, tau, comp, flag
+
+    monkeypatch.setattr(dynamics, "step_batch", flagged)
+    rep = cone_invariance_scan(stadium, 10_000, 3, seed=1)
+    assert len(flags) == 2
+    every = np.concatenate(flags)
+    assert rep.censored_fraction == np.count_nonzero(every) / every.size

@@ -118,6 +118,35 @@ def test_loop_seam_is_not_a_corner():
     assert not locate(t, 0.0).corner
 
 
+def semi():
+    return build_table("semi_dispersing", width=2.0, height=1.0,
+                       centers=[(1.0, 0.5)], radii=[0.3])
+
+
+def flower_after_loop():
+    scatterer = {"kind": "arc", "center": [0.0, 0.0], "radius": 0.2,
+                 "theta0": 0.0, "theta1": 2 * math.pi, "dispersing": True}
+    return build_table("flower", components=[scatterer]
+                       + regular_flower_components(4, 2.0))
+
+
+@pytest.mark.parametrize("make, s_of, corner", [
+    # the wall chain closes at s = 6, the (0, 0) corner on the left wall
+    (semi, lambda t: 6.0 - 1e-13, True),
+    (semi, lambda t: 2.0 - 1e-13, True),
+    # the scatterer loop listed last has a seam at the perimeter
+    (semi, lambda t: t.perimeter - 1e-13, False),
+    # behind a leading loop the petal chain closes at the perimeter
+    (flower_after_loop, lambda t: t.perimeter - 1e-13, True),
+    (flower_after_loop, lambda t: t.offsets[1] + 1e-13, True),
+    (flower_after_loop, lambda t: 1e-13, False),
+], ids=["semi-closing", "semi-inner", "semi-loop-seam", "flower-closing",
+        "flower-chain-start", "flower-loop-seam"])
+def test_chain_closing_corners(make, s_of, corner):
+    t = make()
+    assert locate(t, s_of(t)).corner == corner
+
+
 # ----------------------------------------------------------------- builders
 
 def test_overlapping_scatterers_rejected():
