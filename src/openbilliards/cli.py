@@ -410,7 +410,8 @@ def cmd_inducing(args):
     }
     _write_json(out / "inducing.json", result)
     print(json.dumps(result, sort_keys=True))
-    return 0
+    summary = {"radii": [], "checks": {"kac": {"defect": kac.defect}}}
+    return _enforce(args, summary, conf["thresholds"])
 
 
 def main(argv=None):

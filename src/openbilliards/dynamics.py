@@ -6,9 +6,14 @@ the inward normal toward the traversal tangent, so the outgoing direction is
 cos(phi) * n + sin(phi) * t.
 
 Everything flows through one vectorized kernel (step_batch); the scalar API
-wraps single-lane arrays so there is exactly one arithmetic path.  Inside it,
-one ray-boundary test (_nearest) serves every table at cell offset (0, 0);
-on the torus the lanes that miss their own cell walk the unit cells with it.
+wraps single-lane arrays so there is exactly one arithmetic path.  The kernel
+keeps only the map itself: the flight direction, the unit-cell walk on the
+torus, the reflection angle and the censoring flags.  Every formula on the
+boundary's components lives in the table's batch geometry: locate_batch
+gives the start point and normal, nearest is the one ray-boundary test (at
+cell offset (0, 0) for every table; on the torus the lanes that miss their
+own cell walk the unit cells with it) and impact maps the hit back to
+arclength and normal.
 """
 
 from __future__ import annotations
@@ -68,81 +73,6 @@ class CollisionResult:
         return FLAG_NAMES[self.flag]
 
 
-def _arc_progress(bg, comp, theta):
-    """Within-arc arclength from the impact angle, clamped to the span."""
-    raw = (bg.tdir[comp] * (theta - bg.theta_ref[comp])) % (2.0 * math.pi)
-    span = bg.span[comp]
-    # hits numerically just before the traversal start wrap to ~2*pi
-    over = raw > span + 0.5 * (2.0 * math.pi - span)
-    raw = np.where(over & ~bg.loop[comp], raw - 2.0 * math.pi, raw)
-    return np.clip(raw, 0.0, span) * bg.rho[comp]
-
-
-def _on_arc(bg, j, px, py, dx, dy, cx, cy, r, below):
-    """r where the ray meets arc j (centre (cx, cy)) inside its angular span,
-    inf elsewhere; only lanes with r < below are tested."""
-    sel = np.flatnonzero(r < below)
-    if np.ndim(cx):
-        cx, cy = cx[sel], cy[sel]
-    th = np.arctan2(py[sel] + r[sel] * dy[sel] - cy,
-                    px[sel] + r[sel] * dx[sel] - cx)
-    raw = (bg.tdir[j] * (th - bg.theta_ref[j])) % (2.0 * math.pi)
-    slack = 1e-9 * max(bg.span[j], 1e-3)
-    sel = sel[(raw <= bg.span[j] + slack) | (raw >= 2.0 * math.pi - slack)]
-    out = np.full(r.size, np.inf)
-    out[sel] = r[sel]
-    return out
-
-
-def _nearest(bg, px, py, dx, dy, ox, oy, guard):
-    """The ray-boundary test: earliest hit, beyond guard, of the rays
-    p + t d on every component shifted by the cell offset (ox, oy), scalars
-    or one per lane.  Returns (tau, comp), inf and -1 where a ray meets
-    nothing."""
-    tau = np.full(px.size, np.inf)
-    comp = np.full(px.size, -1, dtype=np.int64)
-    for j in range(bg.n):
-        if bg.is_arc[j]:
-            cx, cy = bg.center[j, 0] + ox, bg.center[j, 1] + oy
-            relx, rely = px - cx, py - cy
-            b = relx * dx + rely * dy
-            disc = b * b - (relx * relx + rely * rely - bg.rho[j] ** 2)
-            hitable = disc > 0.0
-            sq = np.sqrt(np.where(hitable, disc, 0.0))
-            r1 = -b - sq
-            r1 = np.where(hitable & (r1 > guard), r1, np.inf)
-            r2 = -b + sq
-            r2 = np.where(hitable & (r2 > guard), r2, np.inf)
-            if not bg.loop[j]:
-                r1 = _on_arc(bg, j, px, py, dx, dy, cx, cy, r1, np.inf)
-                # r2 >= r1, so r2 matters only where r1 missed the span
-                r2 = _on_arc(bg, j, px, py, dx, dy, cx, cy, r2, r1)
-            cand = np.minimum(r1, r2)
-        else:
-            p0x, p0y = bg.p0[j, 0] + ox, bg.p0[j, 1] + oy
-            den = dx * bg.norm[j, 0] + dy * bg.norm[j, 1]
-            approach = den < -1e-14
-            t = np.where(
-                approach,
-                ((p0x - px) * bg.norm[j, 0]
-                 + (p0y - py) * bg.norm[j, 1]) / np.where(approach, den, 1.0),
-                np.inf)
-            ok = approach & (t > guard) & np.isfinite(t)
-            ts = np.where(ok, t, 0.0)
-            u = np.where(
-                ok,
-                (px + ts * dx - p0x) * bg.tang[j, 0]
-                + (py + ts * dy - p0y) * bg.tang[j, 1],
-                -1.0)
-            slack = 1e-9 * bg.length[j]
-            cand = np.where(ok & (u >= -slack) & (u <= bg.length[j] + slack),
-                            t, np.inf)
-        upd = cand < tau
-        tau[upd] = cand[upd]
-        comp[upd] = j
-    return tau, comp
-
-
 def _unfold(bg, px, py, dx, dy, guard, tau, comp):
     """Walk the lanes that missed their own cell through the unit cells
     their rays enter (Amanatides & Woo), filling tau and comp in place.
@@ -179,8 +109,8 @@ def _unfold(bg, px, py, dx, dy, guard, tau, comp):
         if cells == UNFOLD_MAX_CELLS:
             overflow[active] = True
             break
-        t, k = _nearest(bg, px[active], py[active], dx[active], dy[active],
-                        cellx[active], celly[active], guard)
+        t, k = bg.nearest(px[active], py[active], dx[active], dy[active],
+                          cellx[active], celly[active], guard)
         hit = t < np.inf
         tau[active[hit]] = t[hit]
         comp[active[hit]] = k[hit]
@@ -207,38 +137,15 @@ def step_batch(table, s, phi):
     del loc, c, sn  # only the rays stay alive through the search
     guard = GUARD_FACTOR * table.diameter
 
-    tau, comp = _nearest(bg, px, py, dx, dy, 0.0, 0.0, guard)
+    tau, comp = bg.nearest(px, py, dx, dy, 0.0, 0.0, guard)
+    ox = oy = 0.0
     if table.lattice:
-        cellx, celly, overflow = _unfold(bg, px, py, dx, dy, guard, tau, comp)
+        ox, oy, overflow = _unfold(bg, px, py, dx, dy, guard, tau, comp)
 
     lost = ~np.isfinite(tau)
     safe_tau = np.where(lost, 0.0, tau)
-    hx = px + safe_tau * dx
-    hy = py + safe_tau * dy
-    compc = np.where(comp < 0, 0, comp)
-
-    n1x = np.empty_like(s)
-    n1y = np.empty_like(s)
-    u = np.empty_like(s)
-    arc = bg.is_arc[compc]
-    if np.any(arc):
-        i = compc[arc]
-        ox = bg.center[i, 0] + (cellx[arc] if table.lattice else 0.0)
-        oy = bg.center[i, 1] + (celly[arc] if table.lattice else 0.0)
-        th = np.arctan2(hy[arc] - oy, hx[arc] - ox)
-        n1x[arc] = bg.sigma[i] * np.cos(th)
-        n1y[arc] = bg.sigma[i] * np.sin(th)
-        u[arc] = _arc_progress(bg, i, th)
-    fl = ~arc
-    if np.any(fl):
-        i = compc[fl]
-        n1x[fl] = bg.norm[i, 0]
-        n1y[fl] = bg.norm[i, 1]
-        proj = ((hx[fl] - bg.p0[i, 0]) * bg.tang[i, 0]
-                + (hy[fl] - bg.p0[i, 1]) * bg.tang[i, 1])
-        u[fl] = np.clip(proj, 0.0, bg.length[i])
-
-    s1 = (bg.s_off[compc] + u) % bg.perimeter
+    s1, n1x, n1y = bg.impact(np.where(comp < 0, 0, comp), px + safe_tau * dx,
+                             py + safe_tau * dy, ox, oy)
     t1x, t1y = n1y, -n1x
     dn = dx * n1x + dy * n1y          # incoming, < 0 at a regular impact
     dt = dx * t1x + dy * t1y
@@ -246,7 +153,7 @@ def step_batch(table, s, phi):
 
     flag = np.zeros(s.shape, dtype=np.int8)
     flag[np.abs(phi1) > math.pi / 2 - EPS_GRAZE] = FLAG_GRAZING
-    flag[bg.near_junction(s1)] = FLAG_CORNER
+    flag[table.near_junction(s1)] = FLAG_CORNER
     flag[lost] = FLAG_LOST
     if table.lattice:
         flag[overflow] = FLAG_UNFOLD

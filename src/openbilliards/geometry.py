@@ -6,6 +6,10 @@ rotation of the traversal tangent.  Arc length runs over the components in
 listed order.  Signed curvature follows the scattering convention: +1/rho on
 dispersing walls (domain outside the circle), -1/rho on focusing walls
 (domain inside the circle), 0 on flats.
+
+The component classes hold parameters only.  The map between arclength and
+(point, inward normal), both ways, is written once, in the batch geometry a
+table caches (Table._bg), which locate_batch, the kernel and the checks read.
 """
 
 from __future__ import annotations
@@ -85,16 +89,7 @@ class FlatSegment:
     curvature = 0.0
     kind = "flat"
     dispersing = False
-
-    def start(self):
-        return self.p0
-
-    def end(self):
-        return self.p1
-
-    def point_at(self, u):
-        tx, ty = self.tangent
-        return (self.p0[0] + u * tx, self.p0[1] + u * ty)
+    loop = False
 
 
 @dataclass(frozen=True)
@@ -137,34 +132,6 @@ class CircularArc:
     @cached_property
     def curvature(self):
         return (1.0 if self.dispersing else -1.0) / self.radius
-
-    @cached_property
-    def _theta_ref(self):
-        # traversal start angle: focusing runs CCW from theta0, dispersing
-        # runs CW from theta1 (both keep the domain on the left)
-        return self.theta1 if self.dispersing else self.theta0
-
-    @cached_property
-    def _dir(self):
-        return -1.0 if self.dispersing else 1.0
-
-    def theta_at(self, u):
-        return self._theta_ref + self._dir * u / self.radius
-
-    def point_at(self, u):
-        th = self.theta_at(u)
-        return (self.center[0] + self.radius * math.cos(th),
-                self.center[1] + self.radius * math.sin(th))
-
-    def start(self):
-        return self.point_at(0.0)
-
-    def end(self):
-        return self.point_at(self.length)
-
-    def angles(self):
-        """Angular interval as (theta0, theta1) with theta1 > theta0."""
-        return (self.theta0, self.theta0 + self.span)
 
 
 @dataclass(frozen=True)
@@ -229,27 +196,23 @@ class Table:
         """Components grouped into closed chains, as (first, last) index
         pairs; raises GeometryError unless each chain closes head to tail."""
         tol = 1e-9 * max(c.length for c in self.components)
+        (x0, y0, _, _), (x1, y1, _, _) = self._bg.ends
         chains = []
         start_idx = 0
         comps = self.components
         for i, c in enumerate(comps):
-            loop = getattr(c, "loop", False)
-            if loop:
+            if c.loop:
                 if i != start_idx:
                     raise GeometryError(
                         f"component {i}: closed loop may not sit inside an open chain")
                 chains.append((i, i))
                 start_idx = i + 1
                 continue
-            nxt = comps[i + 1] if i + 1 < len(comps) else None
-            ex, ey = c.end()
-            if nxt is not None and not getattr(nxt, "loop", False):
-                sx, sy = nxt.start()
-                if math.hypot(ex - sx, ey - sy) <= tol:
-                    continue  # chain continues
+            if i + 1 < len(comps) and not comps[i + 1].loop \
+                    and math.hypot(x1[i] - x0[i + 1], y1[i] - y0[i + 1]) <= tol:
+                continue  # chain continues
             # chain must close back to its start
-            sx, sy = comps[start_idx].start()
-            if math.hypot(ex - sx, ey - sy) > tol:
+            if math.hypot(x1[i] - x0[start_idx], y1[i] - y0[start_idx]) > tol:
                 raise GeometryError(
                     f"boundary chain starting at component {start_idx} does not "
                     f"close (gap at component {i})")
@@ -266,60 +229,10 @@ class Table:
         closing corner is listed at both offsets[a] and offsets[b + 1]."""
         js = []
         for a, b in self.chains:
-            if a == b and getattr(self.components[a], "loop", False):
+            if a == b and self.components[a].loop:
                 continue
             js.extend(float(self.offsets[i]) for i in range(a, b + 2))
         return np.asarray(sorted(js))
-
-    @cached_property
-    def _bg(self):
-        return _BatchGeometry(self)
-
-
-class _BatchGeometry:
-    """Flat numpy view of a table's components for vectorized kernels."""
-
-    def __init__(self, table):
-        comps = table.components
-        n = len(comps)
-        self.n = n
-        self.perimeter = table.perimeter
-        self.s_off = np.asarray(table.offsets[:-1])
-        self.s_end = np.asarray(table.offsets[1:])
-        self.length = self.s_end - self.s_off
-        self.is_arc = np.array([c.kind == "arc" for c in comps])
-        self.K = np.array([c.curvature for c in comps])
-        self.p0 = np.zeros((n, 2))
-        self.tang = np.zeros((n, 2))
-        self.norm = np.zeros((n, 2))
-        self.center = np.zeros((n, 2))
-        self.rho = np.ones(n)
-        self.theta_ref = np.zeros(n)
-        self.tdir = np.zeros(n)
-        self.span = np.zeros(n)
-        self.sigma = np.zeros(n)
-        self.loop = np.zeros(n, dtype=bool)
-        for i, c in enumerate(comps):
-            if c.kind == "flat":
-                self.p0[i] = c.p0
-                self.tang[i] = c.tangent
-                self.norm[i] = c.normal
-            else:
-                self.center[i] = c.center
-                self.rho[i] = c.radius
-                self.theta_ref[i] = c._theta_ref
-                self.tdir[i] = c._dir
-                self.span[i] = c.span
-                self.sigma[i] = 1.0 if c.dispersing else -1.0
-                self.loop[i] = c.loop
-        self.junction_s = table.junction_s
-        self.corner_tol = table.corner_tol
-
-    def component(self, s):
-        """The arclength -> component lookup, for s already reduced mod the
-        perimeter (s equal to the perimeter maps to the last component)."""
-        return np.clip(np.searchsorted(self.s_end, s, side="right"),
-                       0, self.n - 1)
 
     def near_junction(self, s):
         """Corner test: which s (already reduced mod the perimeter) lie
@@ -332,6 +245,185 @@ class _BatchGeometry:
                        np.abs(js[np.minimum(j, js.size - 1)] - s))
         return d <= self.corner_tol
 
+    @cached_property
+    def _bg(self):
+        return _BatchGeometry(self)
+
+
+class _BatchGeometry:
+    """Flat numpy view of a table's components and the only arithmetic on
+    them: the forward map (frame), the ray test (nearest), the inverse map
+    (impact)."""
+
+    def __init__(self, table):
+        comps = table.components
+        n = len(comps)
+        self.n = n
+        self.perimeter = table.perimeter
+        self.s_off = np.asarray(table.offsets[:-1])
+        self.s_end = np.asarray(table.offsets[1:])
+        self.length = self.s_end - self.s_off
+        self.is_arc = np.array([c.kind == "arc" for c in comps])
+        self.K = np.array([c.curvature for c in comps])
+        self.loop = np.array([c.loop for c in comps])
+        self.p0 = np.zeros((n, 2))
+        self.tang = np.zeros((n, 2))
+        self.norm = np.zeros((n, 2))
+        self.center = np.zeros((n, 2))
+        self.rho = np.ones(n)
+        self.theta_ref = np.zeros(n)
+        self.tdir = np.zeros(n)
+        self.span = np.zeros(n)
+        self.sigma = np.zeros(n)
+        for i, c in enumerate(comps):
+            if c.kind == "flat":
+                self.p0[i] = c.p0
+                self.tang[i] = c.tangent
+                self.norm[i] = c.normal
+            else:
+                self.center[i] = c.center
+                self.rho[i] = c.radius
+                # traversal start and sense, domain on the left: focusing
+                # arcs run CCW from theta0, dispersing arcs CW from theta1
+                self.theta_ref[i] = c.theta1 if c.dispersing else c.theta0
+                self.tdir[i] = -1.0 if c.dispersing else 1.0
+                self.span[i] = c.span
+                self.sigma[i] = 1.0 if c.dispersing else -1.0
+
+    def component(self, s):
+        """The arclength -> component lookup, for s already reduced mod the
+        perimeter (s equal to the perimeter maps to the last component)."""
+        return np.clip(np.searchsorted(self.s_end, s, side="right"),
+                       0, self.n - 1)
+
+    def frame(self, idx, u):
+        """(x, y, nx, ny): boundary point and inward normal at arclength u
+        into component idx.  The traversal tangent is (ny, -nx)."""
+        x, y, nx, ny = (np.empty_like(u) for _ in range(4))
+        arc = self.is_arc[idx]
+        fl = ~arc
+        if np.any(fl):
+            i = idx[fl]
+            x[fl] = self.p0[i, 0] + u[fl] * self.tang[i, 0]
+            y[fl] = self.p0[i, 1] + u[fl] * self.tang[i, 1]
+            nx[fl] = self.norm[i, 0]
+            ny[fl] = self.norm[i, 1]
+        if np.any(arc):
+            i = idx[arc]
+            th = self.theta_ref[i] + self.tdir[i] * u[arc] / self.rho[i]
+            ct, st = np.cos(th), np.sin(th)
+            x[arc] = self.center[i, 0] + self.rho[i] * ct
+            y[arc] = self.center[i, 1] + self.rho[i] * st
+            nx[arc] = self.sigma[i] * ct
+            ny[arc] = self.sigma[i] * st
+        return x, y, nx, ny
+
+    @cached_property
+    def ends(self):
+        """The frame of every component at its start and at its end."""
+        idx = np.arange(self.n)
+        return self.frame(idx, np.zeros(self.n)), self.frame(idx, self.length)
+
+    def _turn(self, comp, theta):
+        """Angle turned along arc comp's traversal from its start to the
+        polar angle theta, in [0, 2*pi)."""
+        return (self.tdir[comp] * (theta - self.theta_ref[comp])) % TWO_PI
+
+    def _on_arc(self, j, px, py, dx, dy, cx, cy, r, below):
+        """r where the ray meets arc j (centre (cx, cy)) inside its angular
+        span, inf elsewhere; only lanes with r < below are tested."""
+        sel = np.flatnonzero(r < below)
+        if np.ndim(cx):
+            cx, cy = cx[sel], cy[sel]
+        th = np.arctan2(py[sel] + r[sel] * dy[sel] - cy,
+                        px[sel] + r[sel] * dx[sel] - cx)
+        raw = self._turn(j, th)
+        slack = 1e-9 * max(self.span[j], 1e-3)
+        sel = sel[(raw <= self.span[j] + slack) | (raw >= TWO_PI - slack)]
+        out = np.full(r.size, np.inf)
+        out[sel] = r[sel]
+        return out
+
+    def nearest(self, px, py, dx, dy, ox, oy, guard):
+        """The ray-boundary test: earliest hit, beyond guard, of the rays
+        p + t d on every component shifted by the cell offset (ox, oy),
+        scalars or one per lane.  Returns (tau, comp), inf and -1 where a ray
+        meets nothing."""
+        tau = np.full(px.size, np.inf)
+        comp = np.full(px.size, -1, dtype=np.int64)
+        for j in range(self.n):
+            if self.is_arc[j]:
+                cx, cy = self.center[j, 0] + ox, self.center[j, 1] + oy
+                relx, rely = px - cx, py - cy
+                b = relx * dx + rely * dy
+                disc = b * b - (relx * relx + rely * rely - self.rho[j] ** 2)
+                hitable = disc > 0.0
+                sq = np.sqrt(np.where(hitable, disc, 0.0))
+                r1 = -b - sq
+                r1 = np.where(hitable & (r1 > guard), r1, np.inf)
+                r2 = -b + sq
+                r2 = np.where(hitable & (r2 > guard), r2, np.inf)
+                if not self.loop[j]:
+                    r1 = self._on_arc(j, px, py, dx, dy, cx, cy, r1, np.inf)
+                    # r2 >= r1, so r2 matters only where r1 missed the span
+                    r2 = self._on_arc(j, px, py, dx, dy, cx, cy, r2, r1)
+                cand = np.minimum(r1, r2)
+            else:
+                p0x, p0y = self.p0[j, 0] + ox, self.p0[j, 1] + oy
+                den = dx * self.norm[j, 0] + dy * self.norm[j, 1]
+                approach = den < -1e-14
+                t = np.where(
+                    approach,
+                    ((p0x - px) * self.norm[j, 0]
+                     + (p0y - py) * self.norm[j, 1])
+                    / np.where(approach, den, 1.0),
+                    np.inf)
+                ok = approach & (t > guard) & np.isfinite(t)
+                ts = np.where(ok, t, 0.0)
+                u = np.where(
+                    ok,
+                    (px + ts * dx - p0x) * self.tang[j, 0]
+                    + (py + ts * dy - p0y) * self.tang[j, 1],
+                    -1.0)
+                slack = 1e-9 * self.length[j]
+                cand = np.where(
+                    ok & (u >= -slack) & (u <= self.length[j] + slack),
+                    t, np.inf)
+            upd = cand < tau
+            tau[upd] = cand[upd]
+            comp[upd] = j
+        return tau, comp
+
+    def impact(self, comp, hx, hy, ox, oy):
+        """The inverse map: arclength s1 (mod the perimeter) and inward
+        normal (nx, ny) at the impact points (hx, hy) on components comp,
+        whose cell offset is (ox, oy), scalars or one per lane.  The
+        within-component arclength is clamped to the component."""
+        nx, ny, u = (np.empty_like(hx) for _ in range(3))
+        arc = self.is_arc[comp]
+        if np.any(arc):
+            i = comp[arc]
+            cx = self.center[i, 0] + (ox[arc] if np.ndim(ox) else ox)
+            cy = self.center[i, 1] + (oy[arc] if np.ndim(oy) else oy)
+            th = np.arctan2(hy[arc] - cy, hx[arc] - cx)
+            nx[arc] = self.sigma[i] * np.cos(th)
+            ny[arc] = self.sigma[i] * np.sin(th)
+            raw = self._turn(i, th)
+            span = self.span[i]
+            # hits numerically just before the traversal start wrap to ~2*pi
+            over = raw > span + 0.5 * (TWO_PI - span)
+            raw = np.where(over & ~self.loop[i], raw - TWO_PI, raw)
+            u[arc] = np.clip(raw, 0.0, span) * self.rho[i]
+        fl = ~arc
+        if np.any(fl):
+            i = comp[fl]
+            nx[fl] = self.norm[i, 0]
+            ny[fl] = self.norm[i, 1]
+            proj = ((hx[fl] - self.p0[i, 0]) * self.tang[i, 0]
+                    + (hy[fl] - self.p0[i, 1]) * self.tang[i, 1])
+            u[fl] = np.clip(proj, 0.0, self.length[i])
+        return (self.s_off[comp] + u) % self.perimeter, nx, ny
+
 
 def locate_batch(table, s):
     """Vectorized boundary lookup.
@@ -342,33 +434,10 @@ def locate_batch(table, s):
     bg = table._bg
     s = np.asarray(s, dtype=float) % bg.perimeter
     idx = bg.component(s)
-    u = np.clip(s - bg.s_off[idx], 0.0, bg.length[idx])
-
-    x = np.empty_like(s)
-    y = np.empty_like(s)
-    nx = np.empty_like(s)
-    ny = np.empty_like(s)
-
-    arc = bg.is_arc[idx]
-    fl = ~arc
-    if np.any(fl):
-        i = idx[fl]
-        x[fl] = bg.p0[i, 0] + u[fl] * bg.tang[i, 0]
-        y[fl] = bg.p0[i, 1] + u[fl] * bg.tang[i, 1]
-        nx[fl] = bg.norm[i, 0]
-        ny[fl] = bg.norm[i, 1]
-    if np.any(arc):
-        i = idx[arc]
-        th = bg.theta_ref[i] + bg.tdir[i] * u[arc] / bg.rho[i]
-        ct, st = np.cos(th), np.sin(th)
-        x[arc] = bg.center[i, 0] + bg.rho[i] * ct
-        y[arc] = bg.center[i, 1] + bg.rho[i] * st
-        nx[arc] = bg.sigma[i] * ct
-        ny[arc] = bg.sigma[i] * st
-    tx, ty = ny, -nx  # tangent = inward normal rotated -90 deg
-
+    x, y, nx, ny = bg.frame(idx, np.clip(s - bg.s_off[idx], 0.0, bg.length[idx]))
+    # tangent = inward normal rotated -90 deg
     return {"component": idx, "x": x, "y": y, "nx": nx, "ny": ny,
-            "tx": tx, "ty": ty, "K": bg.K[idx]}
+            "tx": ny, "ty": -nx, "K": bg.K[idx]}
 
 
 @dataclass(frozen=True)
@@ -395,7 +464,7 @@ def locate(table, s):
         tangent=(float(out["tx"][0]), float(out["ty"][0])),
         curvature=float(out["K"][0]),
         component=int(out["component"][0]),
-        corner=bool(table._bg.near_junction(s)),
+        corner=bool(table.near_junction(s)),
     )
 
 
@@ -466,6 +535,10 @@ def _build_squash(r1, r2, center_distance):
         FlatSegment(a2, a1),
         CircularArc(c1, r1, th, TWO_PI - th, dispersing=False),  # < half circle
     )
+    n_long = sum(c.span > math.pi + 1e-9 for c in comps if c.kind == "arc")
+    if n_long != 1:
+        raise GeometryError(f"need r1 < r2: expected exactly one arc longer "
+                            f"than a half circle, found {n_long}")
     return Table(comps, "squash")
 
 
@@ -611,27 +684,24 @@ def _seg_min_dist(p, seg):
 
 
 def _in_span(arc, theta):
-    t0, t1 = arc.angles()
-    return (theta - t0) % TWO_PI <= t1 - t0 or arc.loop
+    return (theta - arc.theta0) % TWO_PI <= arc.span or arc.loop
 
 
-def _arc_min_dist(p, arc):
-    dx, dy = p[0] - arc.center[0], p[1] - arc.center[1]
-    d = math.hypot(dx, dy)
-    if d == 0.0:
-        return arc.radius
-    if _in_span(arc, math.atan2(dy, dx)):
-        return abs(d - arc.radius)
-    e0 = arc.start()
-    e1 = arc.end()
-    return min(math.hypot(p[0] - e0[0], p[1] - e0[1]),
-               math.hypot(p[0] - e1[0], p[1] - e1[1]))
+def _dist_to_nearest(p, points):
+    return min(math.hypot(p[0] - q[0], p[1] - q[1]) for q in points)
 
 
-def _component_min_dist(p, comp):
+def _component_min_dist(p, comp, ends):
+    """Distance from p to comp, whose two end points are ends."""
     if comp.kind == "flat":
         return _seg_min_dist(p, comp)
-    return _arc_min_dist(p, comp)
+    dx, dy = p[0] - comp.center[0], p[1] - comp.center[1]
+    d = math.hypot(dx, dy)
+    if d == 0.0:
+        return comp.radius
+    if _in_span(comp, math.atan2(dy, dx)):
+        return abs(d - comp.radius)
+    return _dist_to_nearest(p, ends)
 
 
 def _circle_circle_points(c0, r0, c1, r1):
@@ -664,16 +734,9 @@ def _line_circle_points(seg, center, radius):
     return out
 
 
-def _near_any_endpoint(p, comps, tol):
-    for c in comps:
-        for e in (c.start(), c.end()):
-            if math.hypot(p[0] - e[0], p[1] - e[1]) <= tol:
-                return True
-    return False
-
-
-def _pair_crossings(ca, cb, tol):
-    """Proper intersection points of two components, junction touches excluded."""
+def _pair_crossings(ca, cb, ends, tol):
+    """Proper intersection points of two components, touches at any of their
+    end points (ends) excluded."""
     pts = []
     if ca.kind == "flat" and cb.kind == "flat":
         ax, ay = ca.tangent
@@ -698,44 +761,41 @@ def _pair_crossings(ca, cb, tol):
                 th = math.atan2(y - arc.center[1], x - arc.center[0])
                 if _in_span(arc, th):
                     pts.append((x, y))
-    return [p for p in pts if not _near_any_endpoint(p, (ca, cb), tol)]
+    return [p for p in pts if _dist_to_nearest(p, ends) > tol]
 
 
 def validate_table(table):
     """Geometric health report: list of Violations, empty when clean.
 
-    Checks pairwise component crossings, cusps (tangential junctions),
+    Checks pairwise component crossings, cusps (tangential junctions) and
     the separated focusing condition for every focusing arc (its full circle
-    must not pass strictly through or contain any other component), and
-    class-specific arc-span rules.
+    must not pass strictly through or contain any other component).  The
+    class-specific arc-span rules are the builders' (flower, squash): a
+    table that breaks one is never built.
     """
     comps = table.components
     out = []
     tol = 1e-9 * table.diameter
+    (x0, y0, nx0, ny0), (x1, y1, nx1, ny1) = table._bg.ends
+    ends = [((x0[i], y0[i]), (x1[i], y1[i])) for i in range(len(comps))]
 
     # pairwise proper intersections
     for i in range(len(comps)):
         for j in range(i + 1, len(comps)):
-            pts = _pair_crossings(comps[i], comps[j], tol)
+            pts = _pair_crossings(comps[i], comps[j], ends[i] + ends[j], tol)
             if pts:
                 px, py = pts[0]
                 out.append(Violation("components_intersect", (i, j),
                                      f"cross near ({px:.6g}, {py:.6g})"))
 
-    # cusps at junctions: traversal tangent reverses
+    # cusps at junctions: traversal tangent (ny, -nx) reverses
     for a, b in table.chains:
-        if a == b and getattr(comps[a], "loop", False):
+        if a == b and comps[a].loop:
             continue
         idxs = list(range(a, b + 1))
         for k, i in enumerate(idxs):
             jn = idxs[(k + 1) % len(idxs)]
-            ci, cj = comps[i], comps[jn]
-            e = ci.length
-            ti = (ci.tangent if ci.kind == "flat"
-                  else _arc_tangent(ci, e))
-            tj = (cj.tangent if cj.kind == "flat"
-                  else _arc_tangent(cj, 0.0))
-            if ti[0] * tj[0] + ti[1] * tj[1] < -1.0 + 1e-9:
+            if ny1[i] * ny0[jn] + nx1[i] * nx0[jn] < -1.0 + 1e-9:
                 out.append(Violation("cusp", (i, jn),
                                      "tangential junction (zero interior angle)"))
 
@@ -746,34 +806,13 @@ def validate_table(table):
         for j, other in enumerate(comps):
             if j == i:
                 continue
-            d = _component_min_dist(c.center, other)
+            d = _component_min_dist(c.center, other, ends[j])
             if d < c.radius - tol:
                 out.append(Violation(
                     "sfc", (i, j),
                     f"full circle of focusing arc {i} reaches component {j} "
                     f"(min distance {d:.6g} < radius {c.radius:.6g})"))
-
-    # class-specific span rules
-    if table.class_tag == "flower":
-        for i, c in enumerate(comps):
-            if c.kind == "arc" and not c.dispersing and c.span > math.pi + 1e-9:
-                out.append(Violation("arc_span", (i,),
-                                     "focusing arc longer than half circle"))
-    if table.class_tag == "squash":
-        n_long = sum(1 for c in comps
-                     if c.kind == "arc" and c.span > math.pi + 1e-9)
-        if n_long != 1:
-            out.append(Violation("arc_span", tuple(range(len(comps))),
-                                 f"expected exactly one arc longer than a half "
-                                 f"circle, found {n_long}"))
     return out
-
-
-def _arc_tangent(arc, u):
-    th = arc.theta_at(u)
-    sg = 1.0 if arc.dispersing else -1.0
-    # tangent = inward normal rotated -90 deg
-    return (sg * math.sin(th), -sg * math.cos(th))
 
 
 # ---------------------------------------------------------------------------
@@ -782,12 +821,15 @@ def _arc_tangent(arc, u):
 
 @dataclass(frozen=True)
 class Hole:
-    """Arclength interval [center_s - r, center_s + r] on one smooth component."""
+    """Arclength interval [center_s - r, center_s + r] on one smooth component.
+    On a closed loop, host_loop is the loop's arclength interval [lo, hi),
+    across whose seam the hole may wrap; None on a component with ends."""
 
     center_s: float
     radius: float
     component: int
     perimeter: float
+    host_loop: tuple = None
 
     @property
     def measure(self):
@@ -795,10 +837,13 @@ class Hole:
         return 2.0 * self.radius / self.perimeter
 
     def contains(self, s):
+        """Which s (already reduced mod the perimeter) lie in the hole."""
         s = np.asarray(s, dtype=float)
-        d = (s - self.center_s) % self.perimeter
-        d = np.minimum(d, self.perimeter - d)
-        return d <= self.radius
+        if self.host_loop is None:
+            return np.abs(s - self.center_s) <= self.radius
+        lo, hi = self.host_loop
+        d = (s - self.center_s) % (hi - lo)
+        return (s >= lo) & (s < hi) & (np.minimum(d, hi - lo - d) <= self.radius)
 
 
 def make_hole(table, center_s, r):
@@ -815,7 +860,7 @@ def make_hole(table, center_s, r):
     comp = table.components[idx]
     lo = float(table.offsets[idx])
     hi = float(table.offsets[idx + 1])
-    if getattr(comp, "loop", False):
+    if comp.loop:
         if 2.0 * r >= comp.length:
             raise GeometryError(
                 f"hole diameter {2 * r:.6g} exceeds the loop length "
@@ -830,5 +875,5 @@ def make_hole(table, center_s, r):
                 f"hole [{center_s - r:.6g}, {center_s + r:.6g}] crosses a "
                 f"component junction; at this center the radius can be at "
                 f"most {max_r:.6g}, or move the center toward s = {mid:.6g}")
-    return Hole(center_s=center_s, radius=r, component=idx,
-                perimeter=per)
+    return Hole(center_s=center_s, radius=r, component=idx, perimeter=per,
+                host_loop=(lo, hi) if comp.loop else None)

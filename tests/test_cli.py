@@ -217,6 +217,19 @@ def test_inducing_marches_once_and_matches_separate_calls(tmp_path,
         "tail_max_n": int(tail.n[-1]), "cap_fraction": tail.cap_fraction}
 
 
+def test_inducing_enforces_kac_threshold(tmp_path, capsys):
+    cfg = write_cfg(tmp_path / "c.yaml",
+                    {"version": 1,
+                     "table": {"class": "squash", "r1": 0.6, "r2": 1.0,
+                               "center_distance": 2.0},
+                     "run": {"seed": 1}, "thresholds": {"kac": 0.0}})
+    argv = ["inducing", cfg, "--out", str(tmp_path / "o"), "--samples", "2000"]
+    assert main(argv) == 0
+    assert "threshold breach" not in capsys.readouterr().err
+    assert main(argv + ["--enforce"]) == 3
+    assert "threshold breach: kac defect" in capsys.readouterr().err
+
+
 def test_run_marches_once_and_matches_separate_calls(tmp_path, monkeypatch):
     cfg = {**SINAI_CFG, "checks": {"short_returns": True,
                                    "quasi_section": True},

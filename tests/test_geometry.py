@@ -231,6 +231,31 @@ def test_squash_arc_span_rule():
     assert spans[0] < math.pi < spans[1]
 
 
+def test_squash_with_equal_radii_is_not_built():
+    # both arcs are exact half circles, so neither is the long one
+    with pytest.raises(GeometryError, match="r1 < r2"):
+        build_table("squash", r1=1.0, r2=1.0, center_distance=2.0)
+
+
+def flat(p0, p1):
+    return {"kind": "flat", "p0": p0, "p1": p1}
+
+
+@pytest.mark.parametrize("components, cusps", [
+    # a needle: out along the x axis and straight back
+    ([flat([0, 0], [1, 0]), flat([1, 0], [0, 0])], [(0, 1), (1, 0)]),
+    # a dispersing quarter arc tangent to both sides of a square corner:
+    # one cusp at each end of the arc
+    ([{"kind": "arc", "center": [0, 0], "radius": 1.0,
+       "theta0": -math.pi / 2, "theta1": 0.0, "dispersing": True},
+      flat([0, -1], [1, -1]), flat([1, -1], [1, 0])], [(0, 1), (2, 0)]),
+], ids=["needle", "arc-horn"])
+def test_cusps_are_flagged(components, cusps):
+    t = build_table("flower", components=components)
+    assert [(v.kind, v.components) for v in validate_table(t)] == [
+        ("cusp", c) for c in cusps]
+
+
 # -------------------------------------------------------------------- holes
 
 def test_hole_measure_sinai():
@@ -258,6 +283,26 @@ def test_hole_wraps_around_loop_seam():
     assert h.contains(t.perimeter - 0.01)
     assert h.contains(0.04)
     assert not h.contains(0.2)
+
+
+def two_scatterer():
+    return build_table("sinai_torus", centers=[(0.3, 0.3), (0.75, 0.7)],
+                       radii=[0.15, 0.1])
+
+
+@pytest.mark.parametrize("make, host", [(two_scatterer, 1), (semi, 4)],
+                         ids=["two-scatterer", "semi-dispersing"])
+def test_hole_on_a_loop_wraps_within_its_loop(make, host):
+    # the host loop [lo, P) is not the whole perimeter: points just before
+    # lo belong to the previous component, points just before P lie across
+    # the host's own seam
+    t = make()
+    lo = t.offsets[host]
+    h = make_hole(t, lo + 0.01, 0.05)
+    assert h.component == host
+    assert not h.contains(lo - 0.02)
+    assert h.contains(t.perimeter - 0.02)
+    assert list(h.contains([lo, lo + 0.055, lo + 0.065])) == [True, True, False]
 
 
 def test_hole_must_avoid_junctions():
