@@ -182,9 +182,10 @@ def _resolve(cfg, overrides):
 def _prepare(args, place_holes):
     """Every command's preamble: the resolved config, table and holes.
 
-    Raises ConfigError naming every problem.  Only place_holes validates the
-    table and places the holes, so `check` and `inducing` accept invalid
-    geometry.
+    Raises ConfigError naming every problem.  Only place_holes rejects
+    every table violation and places the holes; `check` and `inducing`
+    reject only crossing components, so they run on tables that break the
+    separated focusing condition (the negative control of `check cones`).
     """
     cfg = load_config(args.config)
     conf, problems = _resolve(cfg, vars(args))
@@ -193,8 +194,10 @@ def _prepare(args, place_holes):
         table = build_from_config(cfg)
     except (ConfigError, GeometryError) as e:
         problems.append(f"table: {e}")
+    if table is not None:
+        problems += [f"table violation {v}" for v in validate_table(table)
+                     if place_holes or v.kind == "components_intersect"]
     if place_holes and table is not None:
-        problems += [f"table violation {v}" for v in validate_table(table)]
         hole = conf["hole"]
         for r in hole["radii"] if hole else ():
             try:

@@ -13,7 +13,9 @@ boundary's components lives in the table's batch geometry: locate_batch
 gives the start point and normal, nearest is the one ray-boundary test (at
 cell offset (0, 0) for every table; on the torus the lanes that miss their
 own cell walk the unit cells with it) and impact maps the hit back to
-arclength and normal.
+arclength and normal.  The torus walk goes in blocks of cells, one nearest
+call per block for every lane still walking, so a batch with one corridor
+flight pays numpy dispatch per block rather than per cell of that flight.
 """
 
 from __future__ import annotations
@@ -31,6 +33,10 @@ EPS_GRAZE = 1e-6
 GUARD_FACTOR = 1e-12
 # lattice unfolding gives up after marching this many cells (infinite horizon)
 UNFOLD_MAX_CELLS = 1000
+# the unit-cell walk tests its first _BLOCK_FIRST cells in one nearest call,
+# then blocks twice as long, up to _BLOCK_CAP cells
+_BLOCK_FIRST = 4
+_BLOCK_CAP = 128
 
 FLAG_OK = 0
 FLAG_GRAZING = 1
@@ -73,48 +79,92 @@ class CollisionResult:
         return FLAG_NAMES[self.flag]
 
 
+def _crossings(b, tmax, tdelta):
+    """One axis's next b + 1 cell crossing times, tmax, tmax + tdelta, ...:
+    cumsum adds top to bottom, exactly as the one-cell walk's
+    tmax += tdelta does."""
+    t = np.empty((b + 1, tmax.size))
+    t[0] = tmax
+    t[1:] = tdelta
+    return np.cumsum(t, axis=0, out=t)
+
+
+def _dda_block(b, tmaxx, tmaxy, tdx, tdy):
+    """The next b steps of each lane's Amanatides-Woo walk at once.
+
+    Returns (nx, ny, xs, ys): nx[j], ny[j] count the x and y steps among the
+    first j + 1, and xs, ys are the crossing times, so a lane's tmax after
+    step j is xs[nx[j]], ys[ny[j]].  The stable sort of [y crossings, x
+    crossings] merges them with the walk's tie rule: an x step only where
+    tmaxx < tmaxy, so a y step wins a tie.
+    """
+    xs = _crossings(b, tmaxx, tdx)
+    ys = _crossings(b, tmaxy, tdy)
+    order = np.argsort(np.concatenate([ys[:b], xs[:b]]), axis=0,
+                       kind="stable")[:b]
+    nx = np.cumsum(order >= b, axis=0)
+    return nx, np.arange(1, b + 1)[:, None] - nx, xs, ys
+
+
 def _unfold(bg, px, py, dx, dy, guard, tau, comp):
     """Walk the lanes that missed their own cell through the unit cells
     their rays enter (Amanatides & Woo), filling tau and comp in place.
 
     Every scatterer disk sits strictly inside its cell, so testing only the
-    cells the ray traverses (in entry order) is exact.  Returns each lane's
-    cell offset and the overflow mask: lanes that met nothing in
-    UNFOLD_MAX_CELLS cells, whose offset has taken one more walk step.
+    cells the ray traverses (in entry order) is exact.  The walk goes in
+    blocks: every lane still walking takes its next cells from _dda_block
+    (_BLOCK_FIRST of them, doubling up to _BLOCK_CAP), one nearest call tests
+    them all, and a lane stops at its first hitting cell in entry order, so
+    a batch pays numpy dispatch per block, not per cell of its longest
+    flight.  Returns each lane's cell offset and the overflow mask: lanes
+    that met nothing in UNFOLD_MAX_CELLS cells, whose offset has taken one
+    more walk step, untested.
     """
     n = px.size
     cellx = np.zeros(n)
     celly = np.zeros(n)
     overflow = np.zeros(n, dtype=bool)
-
-    stepx = np.where(dx > 0, 1.0, -1.0)
-    stepy = np.where(dy > 0, 1.0, -1.0)
+    lanes = np.flatnonzero(tau == np.inf)
+    px, py, dx, dy = px[lanes], py[lanes], dx[lanes], dy[lanes]
     with np.errstate(divide="ignore", invalid="ignore"):
-        tdx = np.where(dx != 0, np.abs(1.0 / dx), np.inf)
-        tdy = np.where(dy != 0, np.abs(1.0 / dy), np.inf)
-        tmaxx = np.where(dx != 0, (np.where(dx > 0, 1.0, 0.0) - px) / dx, np.inf)
-        tmaxy = np.where(dy != 0, (np.where(dy > 0, 1.0, 0.0) - py) / dy, np.inf)
+        # one row per lane quantity, so retiring lanes is one compaction
+        walk = np.array([
+            px, py, dx, dy,
+            np.where(dx > 0, 1.0, -1.0),
+            np.where(dy > 0, 1.0, -1.0),
+            np.where(dx != 0, np.abs(1.0 / dx), np.inf),
+            np.where(dy != 0, np.abs(1.0 / dy), np.inf),
+            np.where(dx != 0, (np.where(dx > 0, 1.0, 0.0) - px) / dx, np.inf),
+            np.where(dy != 0, (np.where(dy > 0, 1.0, 0.0) - py) / dy, np.inf),
+            np.zeros(lanes.size), np.zeros(lanes.size)])
 
-    active = np.flatnonzero(tau == np.inf)
-    for cells in range(1, UNFOLD_MAX_CELLS + 1):
-        if active.size == 0:
+    tested, size = 0, _BLOCK_FIRST
+    while lanes.size:
+        _, _, _, _, stepx, stepy, tdx, tdy, tmaxx, tmaxy, cx, cy = walk
+        b = min(size, UNFOLD_MAX_CELLS - 1 - tested)
+        nx, ny, xs, ys = _dda_block(max(b, 1), tmaxx, tmaxy, tdx, tdy)
+        bx = cx + stepx * nx
+        by = cy + stepy * ny
+        if b == 0:                     # the last step, taken untested
+            cellx[lanes], celly[lanes] = bx[0], by[0]
+            overflow[lanes] = True
             break
-        mx = tmaxx[active] < tmaxy[active]
-        ax = active[mx]
-        ay = active[~mx]
-        cellx[ax] += stepx[ax]
-        tmaxx[ax] += tdx[ax]
-        celly[ay] += stepy[ay]
-        tmaxy[ay] += tdy[ay]
-        if cells == UNFOLD_MAX_CELLS:
-            overflow[active] = True
-            break
-        t, k = bg.nearest(px[active], py[active], dx[active], dy[active],
-                          cellx[active], celly[active], guard)
-        hit = t < np.inf
-        tau[active[hit]] = t[hit]
-        comp[active[hit]] = k[hit]
-        active = active[~hit]
+        t, k = bg.nearest(*np.tile(walk[:4], b), bx.ravel(), by.ravel(),
+                          guard)
+        hit = (t < np.inf).reshape(b, -1)
+        met = hit.any(axis=0)
+        # each lane's first hitting cell, or the block's last one
+        col = np.where(met, hit.argmax(axis=0), b - 1)
+        i = np.arange(lanes.size)
+        cx[:], cy[:] = bx[col, i], by[col, i]
+        tmaxx[:], tmaxy[:] = xs[nx[col, i], i], ys[ny[col, i], i]
+        cellx[lanes], celly[lanes] = cx, cy
+        at = (col * lanes.size + i)[met]
+        done = lanes[met]
+        tau[done], comp[done] = t[at], k[at]
+        lanes, walk = lanes[~met], walk[:, ~met]
+        tested += b
+        size = min(2 * size, _BLOCK_CAP)
     return cellx, celly, overflow
 
 

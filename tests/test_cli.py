@@ -1,5 +1,6 @@
 import copy
 import csv
+import hashlib
 import json
 import math
 import re
@@ -118,6 +119,39 @@ def test_run_is_byte_deterministic(sinai_cfg, tmp_path):
             assert (a / tag / f).read_bytes() == (b / tag / f).read_bytes()
 
 
+# sha256 of every CSV `run` writes for SINAI_CFG
+SINAI_DIGESTS = {
+    "r_0.02/counts.csv":
+        "bd745c1ca4e8fd048d5047121c860b5dda3aed0bb97ea60a9c59a177c4d0a230",
+    "r_0.02/hits.csv":
+        "fe78a0f1c6f85c377ea5ba1e175fc82abc0da98fee3b5f6cc7197eddd77113b0",
+    "r_0.02/survival.csv":
+        "9b479d754b835ee8d79210ccf498672a9b6df02bb3fe0fa17b0b81e6f8728a34",
+    "r_0.05/counts.csv":
+        "4aced87f01f9c7b9d08a0fedc6fc18e424f0023b3a239abf33309601ff7b9aeb",
+    "r_0.05/hits.csv":
+        "c2440835619452e13b009c2dcb8c9db7046e1d2503551ee7c4a16c226b3a69e9",
+    "r_0.05/survival.csv":
+        "9ce928f20ad1f10377a9cde20c5fd488ee7d9cd01a29321e891ff4b0232e9d31",
+}
+
+
+def test_run_csv_digests_are_pinned(sinai_cfg, tmp_path):
+    """The infinite-horizon torus CSVs, byte for byte.
+
+    Kernel changes that keep the arithmetic (the unit-cell walk's
+    scheduling, batching, refactors) must leave these digests as they are.
+    A change that moves the last bits of impacts on purpose, such as the
+    planned foot-of-perpendicular form of the long-flight ray-circle test,
+    moves them, and replaces them here with its new digests.
+    """
+    out = tmp_path / "o"
+    assert main(["run", sinai_cfg, "--out", str(out)]) == 0
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+           for name in SINAI_DIGESTS}
+    assert got == SINAI_DIGESTS
+
+
 def test_run_seed_override_changes_hits(sinai_cfg, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(["run", sinai_cfg, "--out", str(a)]) == 0
@@ -163,6 +197,28 @@ def test_check_cones_breach_exits_3(tmp_path):
     out = str(tmp_path / "o")
     assert main(["check", "cones", cfg, "--out", out]) == 0
     assert main(["check", "cones", cfg, "--out", out, "--enforce"]) == 3
+
+
+@pytest.mark.parametrize("command", [["check", "invariants"], ["inducing"]])
+def test_check_and_inducing_reject_crossing_components(command, tmp_path,
+                                                       capsys, monkeypatch):
+    # the scatterer cuts the bottom wall, so the boundary leaks orbits
+    def no_march(*args, **kwargs):
+        raise AssertionError("a table with crossing components was marched")
+
+    monkeypatch.setattr(dynamics, "step_batch", no_march)
+    cfg = write_cfg(tmp_path / "c.yaml",
+                    {"version": 1,
+                     "table": {"class": "semi_dispersing", "width": 2.0,
+                               "height": 1.0, "centers": [[1.0, 0.1]],
+                               "radii": [0.3]},
+                     "run": {"seed": 1}})
+    assert main([*command, cfg, "--out", str(tmp_path / "o"),
+                 "--samples", "2000"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error: ") == 1
+    assert "error: table violation [components_intersect]" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_check_invariants(sinai_cfg, tmp_path, capsys):

@@ -34,6 +34,7 @@ from openbilliards import (
 )
 from openbilliards.dynamics import tangent_map_batch
 from openbilliards.geometry import locate_batch
+from openbilliards.measure import SrbSampler
 
 
 def make(name):
@@ -53,6 +54,8 @@ def make(name):
     if name == "two_scatterer":
         return build_table("sinai_torus", centers=[(0.3, 0.3), (0.75, 0.7)],
                            radii=[0.15, 0.1])
+    if name == "thin_sinai":
+        return build_table("sinai_torus", centers=[(0.5, 0.5)], radii=[0.01])
     raise KeyError(name)
 
 
@@ -293,6 +296,131 @@ def test_batch_split_is_bit_identical():
     for k in range(5):
         merged = np.concatenate([p[k] for p in parts])
         assert np.array_equal(whole[k], merged)
+
+
+def _reference_unfold(bg, px, py, dx, dy, guard, tau, comp):
+    """The unit-cell walk one cell per iteration, as the kernel did it before
+    the block walk, frozen here as its reference: the same Amanatides-Woo
+    steps (a y step wins a tie), each cell tested on its own, and a lane
+    still walking at UNFOLD_MAX_CELLS takes its last step untested."""
+    n = px.size
+    cellx = np.zeros(n)
+    celly = np.zeros(n)
+    overflow = np.zeros(n, dtype=bool)
+
+    stepx = np.where(dx > 0, 1.0, -1.0)
+    stepy = np.where(dy > 0, 1.0, -1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tdx = np.where(dx != 0, np.abs(1.0 / dx), np.inf)
+        tdy = np.where(dy != 0, np.abs(1.0 / dy), np.inf)
+        tmaxx = np.where(dx != 0, (np.where(dx > 0, 1.0, 0.0) - px) / dx, np.inf)
+        tmaxy = np.where(dy != 0, (np.where(dy > 0, 1.0, 0.0) - py) / dy, np.inf)
+
+    active = np.flatnonzero(tau == np.inf)
+    for cells in range(1, dynamics.UNFOLD_MAX_CELLS + 1):
+        if active.size == 0:
+            break
+        mx = tmaxx[active] < tmaxy[active]
+        ax = active[mx]
+        ay = active[~mx]
+        cellx[ax] += stepx[ax]
+        tmaxx[ax] += tdx[ax]
+        celly[ay] += stepy[ay]
+        tmaxy[ay] += tdy[ay]
+        if cells == dynamics.UNFOLD_MAX_CELLS:
+            overflow[active] = True
+            break
+        t, k = bg.nearest(px[active], py[active], dx[active], dy[active],
+                          cellx[active], celly[active], guard)
+        hit = t < np.inf
+        tau[active[hit]] = t[hit]
+        comp[active[hit]] = k[hit]
+        active = active[~hit]
+    return cellx, celly, overflow
+
+
+def _block_ends(blocks):
+    """Cells tested once each of the walk's first `blocks` blocks is done."""
+    ends, tested, size = [], 0, dynamics._BLOCK_FIRST
+    for _ in range(blocks):
+        tested += size
+        ends.append(tested)
+        size = min(2 * size, dynamics._BLOCK_CAP)
+    return ends
+
+
+# a limit of L tests L - 1 cells, so L = end + 1 stops right at a block's
+# end; seven blocks (4 cells doubling to 128) reach two blocks at the cap
+UNFOLD_LIMITS = sorted({1, 2, 3, 1000} | {end + 1 + d for end in _block_ends(7)
+                                          for d in (-1, 0, 1)})
+
+
+def _same_bytes(a, b):
+    return all(x.dtype == y.dtype and x.tobytes() == y.tobytes()
+               for x, y in zip(a, b))
+
+
+def test_block_steps_follow_the_one_cell_walk():
+    """_dda_block's steps and crossing times are the one-cell walk's, ties
+    (a y step wins) and axis-parallel rays (no crossing on one axis)
+    included."""
+    rng = np.random.default_rng(2)
+    tmaxx = np.concatenate([[0.5, 0.5, 0.25, np.inf, 0.3], rng.random(20)])
+    tmaxy = np.concatenate([[0.5, 0.75, 0.25, 0.4, np.inf], rng.random(20)])
+    tdx = np.concatenate([[1.0, 0.5, 1.0, np.inf, 1.5], 1 + 9 * rng.random(20)])
+    tdy = np.concatenate([[1.0, 0.5, 0.5, 2.0, np.inf], 1 + 9 * rng.random(20)])
+    b = 9
+    nx, ny, xs, ys = dynamics._dda_block(b, tmaxx, tmaxy, tdx, tdy)
+    for lane in range(tmaxx.size):
+        tx, ty, cx, cy = tmaxx[lane], tmaxy[lane], 0, 0
+        for j in range(b):
+            if tx < ty:
+                cx, tx = cx + 1, tx + tdx[lane]
+            else:
+                cy, ty = cy + 1, ty + tdy[lane]
+            assert (nx[j, lane], ny[j, lane]) == (cx, cy), (lane, j)
+            assert xs[cx, lane] == tx and ys[cy, lane] == ty, (lane, j)
+    assert list(nx[:4, 0]) == [0, 1, 1, 2]      # tie, x, tie, x
+
+
+@pytest.mark.parametrize("name", ["sinai", "two_scatterer", "thin_sinai"])
+def test_block_walk_matches_reference_walk(name, monkeypatch):
+    """step_batch under the block walk and under the one-cell walk agree
+    byte for byte, at every limit around the block ends: lanes that hit,
+    lanes that overflow and the offset their untested last step leaves."""
+    table = make(name)
+    s, phi = SrbSampler(table, 1, 1).sample(20000)
+    overflowed = set()
+    for limit in UNFOLD_LIMITS:
+        monkeypatch.setattr(dynamics, "UNFOLD_MAX_CELLS", limit)
+        block = step_batch(table, s, phi)
+        with monkeypatch.context() as m:
+            m.setattr(dynamics, "_unfold", _reference_unfold)
+            reference = step_batch(table, s, phi)
+        assert _same_bytes(block, reference), limit
+        if np.any(block[4] == FLAG_UNFOLD):
+            overflowed.add(limit)
+    assert {1, 2, 3} <= overflowed
+
+
+@pytest.mark.parametrize("table_name", ["sinai", "two_scatterer"])
+def test_long_flights_do_not_depend_on_their_batch(table_name):
+    """Corridor flights (tau 170-220) walk hundreds of cells past the short
+    ones in the same blocks; every lane still gets what it gets alone."""
+    table = make(table_name)
+    s, phi = SrbSampler(table, 3, 1).sample(400)
+    short = step_batch(table, s, phi)[2] < 3.0
+    s, phi = s[short][:60], phi[short][:60]
+    starts = [(s0, phi0) for t, s0, phi0, _ in LONG_FLIGHTS.values()
+              if t == table_name]
+    # first lane, two neighbours, mid-batch and last lane
+    for at, (s0, phi0) in zip((0, 17, 18, 45, 64), starts * 3):
+        s, phi = np.insert(s, at, s0), np.insert(phi, at, phi0)
+    batch = step_batch(table, s, phi)
+    assert np.sum(batch[2] > 170.0) == 5
+    for i in range(s.size):
+        alone = step_batch(table, s[i:i + 1], phi[i:i + 1])
+        assert _same_bytes([a[i:i + 1] for a in batch], alone), i
 
 
 # ------------------------------------------------------- wavefront curvature
