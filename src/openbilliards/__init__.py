@@ -37,9 +37,8 @@ from .measure import SrbSampler, invariance_defect, ks_statistic
 from .cones import Cone, cone_at, cone_invariance_scan, in_cone, slope_of
 from .inducing import (
     ExtendedPhasePoint,
+    base_returns,
     in_base,
-    kac_defect,
-    return_tail,
     return_time,
 )
 from .openstats import (

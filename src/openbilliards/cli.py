@@ -7,9 +7,10 @@ Subcommands:
   inducing   return-time tail CSV and the Kac defect
 
 Configs are YAML with `version: 1`.  All randomness flows from the single
-`run.seed`; CSV outputs are byte-identical for equal config + seed.
+`run.seed`; CSV outputs are byte-identical for equal config + seed.  JSON
+outputs are strict (RFC 8259): an undefined statistic is written as null.
 Exit codes: 0 done, 2 config/geometry validation failure, 3 threshold breach
-under --enforce.
+under --enforce (an enforced statistic that is undefined breaches too).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import argparse
 import csv
 import difflib
 import json
+import math
 import sys
 from pathlib import Path
 from time import perf_counter
@@ -29,7 +31,7 @@ from . import __version__
 from .cones import cone_invariance_scan
 from .geometry import (GeometryError, _is_real, build_table, make_hole,
                        validate_table)
-from .inducing import base_returns, kac_defect
+from .inducing import base_returns
 from .measure import invariance_defect
 from .openstats import (
     CHECK_T_MAX,
@@ -236,10 +238,14 @@ def _write_csv(path, header, rows):
         w.writerows(rows)
 
 
+def _json(obj, indent=None):
+    """Strict JSON text of obj (RFC 8259): NaN and infinities become null."""
+    plain = json.loads(json.dumps(obj), parse_constant=lambda _: None)
+    return json.dumps(plain, indent=indent, sort_keys=True, allow_nan=False)
+
+
 def _write_json(path, obj):
-    with open(path, "w") as f:
-        json.dump(obj, f, indent=2, sort_keys=True)
-        f.write("\n")
+    Path(path).write_text(_json(obj, indent=2) + "\n")
 
 
 def _check_result(name, table, budgets, seed):
@@ -258,8 +264,8 @@ def _check_result(name, table, budgets, seed):
         rep = invariance_defect(table, budgets["invariance_samples"], seed)
         return {"ks_phi": rep.ks_phi, "ks_s": rep.ks_s, "n": rep.n,
                 "censored_fraction": rep.censored_fraction}
-    rep = kac_defect(table, budgets["kac_samples"], budgets["return_cap"],
-                     seed)
+    rep = base_returns(table, budgets["kac_samples"], budgets["return_cap"],
+                       seed).kac()
     return {"defect": rep.defect, "mu_x": rep.mu_x, "mean_R": rep.mean_R,
             "censored_fraction": rep.censored_fraction}
 
@@ -287,8 +293,7 @@ def cmd_run(args):
             shapes.append((budgets["quasi_orbits"], CHECK_T_MAX))
         t0 = perf_counter()
         family = iter(collect_hitting_family(
-            table, [(hole, n, t) for hole in holes for n, t in shapes], seed,
-            track_induced=len(shapes) > 1))
+            table, [(hole, n, t) for hole in holes for n, t in shapes], seed))
         summary["march_s"] = perf_counter() - t0
         for hole in holes:
             data = next(family)
@@ -360,27 +365,32 @@ def cmd_run(args):
 
 def _enforce(args, summary, thresholds):
     """3 under --enforce after printing each breached threshold (the hitting
-    ones at the smallest radius), else 0."""
-    breaches = []
+    ones at the smallest radius), else 0.  An undefined statistic (None or
+    not finite) breaches: nothing shows that its threshold holds."""
+    enforced = []       # (label, value, threshold) per enforced statistic
     if summary["radii"]:
         tag = f"r_{min(summary['radii']):g}"
         entry = summary["per_radius"][tag]
-        if entry.get("ks_exp1") is not None \
-                and entry["ks_exp1"] >= thresholds["ks"]:
-            breaches.append(f"{tag}: ks_exp1 {entry['ks_exp1']:.4f} "
-                            f">= {thresholds['ks']}")
-        for v in entry.get("tv", []):
-            if v >= thresholds["tv"]:
-                breaches.append(f"{tag}: tv {v:.4f} >= {thresholds['tv']}")
-    cones = summary["checks"].get("cones")
+        enforced.append((f"{tag}: ks_exp1", entry["ks_exp1"],
+                         thresholds["ks"]))
+        enforced += [(f"{tag}: tv", v, thresholds["tv"])
+                     for v in entry.get("tv", [])]
+    checks = summary["checks"]
+    if "invariance" in checks:
+        enforced += [(f"invariance {k}", checks["invariance"][k],
+                      thresholds["invariance"]) for k in ("ks_phi", "ks_s")]
+    if "kac" in checks:
+        enforced.append(("kac defect", checks["kac"]["defect"],
+                         thresholds["kac"]))
+    breaches = []
+    for label, value, limit in enforced:
+        if value is None or not math.isfinite(value):
+            breaches.append(f"{label} undefined")
+        elif value >= limit:
+            breaches.append(f"{label} {value:.4f} >= {limit}")
+    cones = checks.get("cones")
     if cones and cones["violations"] > thresholds["cone_violations"]:
         breaches.append(f"cone violations {cones['violations']}")
-    inv = summary["checks"].get("invariance")
-    if inv and max(inv["ks_phi"], inv["ks_s"]) >= thresholds["invariance"]:
-        breaches.append("invariance KS above threshold")
-    kac = summary["checks"].get("kac")
-    if kac and kac["defect"] >= thresholds["kac"]:
-        breaches.append(f"kac defect {kac['defect']:.4f}")
     for b in breaches if args.enforce else ():
         print(f"threshold breach: {b}", file=sys.stderr)
     return 3 if args.enforce and breaches else 0
@@ -392,7 +402,7 @@ def cmd_check(args):
     name = "cones" if args.what == "cones" else "invariance"
     result = _check_result(name, table, conf["budgets"], conf["run"]["seed"])
     _write_json(out / f"{args.what}.json", result)
-    print(json.dumps(result, sort_keys=True))
+    print(_json(result))
     return _enforce(args, {"radii": [], "checks": {name: result}},
                     conf["thresholds"])
 
@@ -412,7 +422,7 @@ def cmd_inducing(args):
         "cap_fraction": tail.cap_fraction,
     }
     _write_json(out / "inducing.json", result)
-    print(json.dumps(result, sort_keys=True))
+    print(_json(result))
     summary = {"radii": [], "checks": {"kac": {"defect": kac.defect}}}
     return _enforce(args, summary, conf["thresholds"])
 

@@ -27,15 +27,21 @@ class Cone:
     K: float
 
 
+def _cone_edges(K, kind="unstable"):
+    """(lo, hi) slope edges of the cone over host curvature K (arrays or
+    scalars): [K, inf] for the unstable cone, [K, 0] on a focusing arc."""
+    if kind == "unstable":
+        return K, np.where(K < 0, 0.0, np.inf)
+    if kind == "stable":
+        # mirror image of the unstable cone under (dq, dphi) -> (dq, -dphi)
+        return np.where(K < 0, 0.0, -np.inf), -K
+    raise ValueError(f"unknown cone kind {kind!r}")
+
+
 def cone_at(table, x, kind="unstable"):
     """Cone of Lemma-9.1 type at phase point x, set by the host curvature."""
     K = locate(table, x.s).curvature
-    if kind == "unstable":
-        return Cone(K, math.inf if K >= 0 else 0.0, kind, K)
-    if kind == "stable":
-        # mirror image of the unstable cone under (dq, dphi) -> (dq, -dphi)
-        return Cone(-math.inf if K >= 0 else 0.0, -K, kind, K)
-    raise ValueError(f"unknown cone kind {kind!r}")
+    return Cone(*map(float, _cone_edges(K, kind)), kind, K)
 
 
 def slope_of(v):
@@ -68,19 +74,15 @@ class ConeScanReport:
         return self.n_violations == 0 and self.transversality_violations == 0
 
 
-def _unstable_bounds(K):
-    return K.copy(), np.where(K < 0, 0.0, np.inf)
-
-
 def _start_slopes(K, n_vectors):
     """Deterministic fan of slopes per point: both boundaries + interior."""
     slopes = np.empty((n_vectors, K.size))
     vertical = np.zeros((n_vectors, K.size), dtype=bool)
-    slopes[0] = K                  # the lower cone edge
-    if n_vectors > 1:
-        # top boundary: vertical for dispersing/flat hosts, slope 0 focusing
-        vertical[-1] = ~(K < 0)
-        slopes[-1] = 0.0
+    lo, hi = _cone_edges(K)
+    slopes[0] = lo
+    if n_vectors > 1:              # the top edge; vertical when hi is inf
+        vertical[-1] = np.isinf(hi)
+        slopes[-1] = hi
     for j in range(1, n_vectors - 1):
         t = j / (n_vectors - 1)
         # dispersing/flat: sweep [K, inf) via a tangent map; focusing: [K, 0]
@@ -103,7 +105,7 @@ def _scan_once(table, s, phi, n_vectors):
     # an impact clamped to its component's end sits on a junction and is
     # censored, so on uncensored lanes the hit component's K is K at s1
     K1 = bg.K[comp[ok]]
-    lo1, hi1 = _unstable_bounds(K1)
+    lo1, hi1 = _cone_edges(K1)
 
     slopes, vertical = _start_slopes(K0, n_vectors)
     dq = np.where(vertical, 0.0, 1.0)
@@ -129,8 +131,7 @@ def _scan_once(table, s, phi, n_vectors):
     vm = np.minimum(vsl - lo1, np.where(np.isinf(hi1), np.inf, hi1 - vsl))
 
     # interiors of C^u and its stable mirror may never overlap
-    s_lo = np.where(K1 < 0, 0.0, -np.inf)
-    s_hi = -K1
+    s_lo, s_hi = _cone_edges(K1, "stable")
     o_lo = np.maximum(lo1, s_lo)
     o_hi = np.minimum(hi1, s_hi)
     trans_bad = int(np.count_nonzero(o_lo < o_hi))

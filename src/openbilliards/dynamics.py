@@ -323,35 +323,34 @@ def expansion_factor(B_plus, tau):
 
 @dataclass(frozen=True)
 class OrbitRecord:
-    """Outcome of iterating one orbit: hit indices and censoring data."""
+    """Outcome of iterating one orbit: hit indices, the component of each
+    collision and censoring data."""
 
     n_steps: int
     hits: np.ndarray
     status: str               # completed | censored_singular | censored_horizon
     flag: int
     final: PhasePoint
-    components: np.ndarray = None
+    components: np.ndarray    # component hit at collisions 1 .. n_steps
 
     @property
     def censored(self):
         return self.status != "completed"
 
 
-def orbit(table, x0, max_steps, hole=None, track_components=False):
+def orbit(table, x0, max_steps, hole=None):
     """Iterate the collision map from x0 for up to max_steps collisions.
 
     Records the indices i >= 1 whose impact lands inside the hole (the seed
-    point itself never counts).  Storage stays proportional to the number of
-    hits, not to max_steps.  A censored impact ends the orbit at the previous
-    collision.
+    point itself never counts) and the component of every collision.  A
+    censored impact ends the orbit at the previous collision.
     """
     hits, comps = [], []
     last = [np.array([float(x0.s)]), np.array([float(x0.phi)])]
 
     def observe(i, lanes, s, phi, comp, prev):
         last[:] = s, phi
-        if track_components:
-            comps.append(int(comp[0]))
+        comps.append(int(comp[0]))
         if hole is not None and bool(hole.contains(s[0])):
             hits.append(i)
 
@@ -365,5 +364,5 @@ def orbit(table, x0, max_steps, hole=None, track_components=False):
             flag, "censored_singular"),
         flag=flag,
         final=PhasePoint(float(last[0][0]), float(last[1][0])),
-        components=np.asarray(comps, dtype=np.int64) if track_components else None,
+        components=np.asarray(comps, dtype=np.int64),
     )

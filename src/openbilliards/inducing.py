@@ -178,13 +178,3 @@ def base_returns(table, n_samples, cap, seed):
         raise ValueError("need n_samples >= 1")
     (s, phi, comp), mu_x, _ = sample_base_points(table, n_samples, seed)
     return BaseReturns(*_returns_batch(table, s, phi, comp, cap), mu_x=mu_x)
-
-
-def return_tail(table, n_samples, cap, seed):
-    """Empirical complementary return-time distribution on the base."""
-    return base_returns(table, n_samples, cap, seed).tail()
-
-
-def kac_defect(table, n_samples, cap, seed):
-    """|mean_X(R) * mu(X) - 1|: Kac's identity as an empirical defect."""
-    return base_returns(table, n_samples, cap, seed).kac()

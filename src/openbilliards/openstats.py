@@ -65,8 +65,8 @@ class HittingData:
     hit_index: np.ndarray      # collision indices >= 1
     censor_step: np.ndarray    # per orbit; horizon + 1 when never censored
     censor_kind: np.ndarray    # flag code at censoring, 0 otherwise
-    hit_induced: np.ndarray = None    # induced-step counter at each hit
-    final_induced: np.ndarray = None  # per-orbit induced counter at the end
+    hit_induced: np.ndarray    # inducing-base entries up to each hit
+    final_induced: np.ndarray  # per orbit: base entries up to its record end
 
     @property
     def normalized_times(self):
@@ -102,7 +102,7 @@ class HittingData:
 
         p = ceil(mu^-(1-epsilon)).  Induced steps are entries into the
         class's inducing base X between the two hits (plain collisions where
-        R = 1), so the data must carry hit_induced (track_induced).
+        R = 1), read off hit_induced.
         """
         p = math.ceil(self.mu ** -(1.0 - epsilon))
         if self.hit_orbit.size == 0:
@@ -122,8 +122,8 @@ class HittingData:
         into the inducing base X (a hit at an entry belongs to the new
         block).  Only completed excursions count: the orbit must re-enter X
         after the hits.  For R = 1 classes every block is a single
-        collision, so the defect is exactly zero.  Needs track_induced data;
-        host_kind (the hole's component kind) is echoed in the report.
+        collision, so the defect is exactly zero.  host_kind (the hole's
+        component kind) is echoed in the report.
         """
         # group hits by (orbit, excursion id); an excursion is complete when
         # the orbit's final induced counter moved past it
@@ -137,20 +137,19 @@ class HittingData:
                                   self.censored_fraction)
 
 
-def collect_hitting(table, hole, n_orbits, t_max, seed, track_induced=False):
+def collect_hitting(table, hole, n_orbits, t_max, seed):
     """March n_orbits SRB-seeded orbits and record hole hits.
 
     The horizon is ceil(t_max / mu) collisions.  Hits at flagged (censored)
-    collisions are not recorded and the orbit stops there.  With
-    track_induced, each hit also carries the number of inducing-base entries
-    seen so far, which is what short-return and quasi-section statistics
-    consume.
+    collisions are not recorded and the orbit stops there.  Each hit also
+    carries the number of inducing-base entries seen so far (its induced
+    time), and each orbit the count at the end of its record: the
+    short-return and quasi-section statistics reduce those.
     """
-    return collect_hitting_family(table, [(hole, n_orbits, t_max)], seed,
-                                  track_induced)[0]
+    return collect_hitting_family(table, [(hole, n_orbits, t_max)], seed)[0]
 
 
-def collect_hitting_family(table, requests, seed, track_induced=False):
+def collect_hitting_family(table, requests, seed):
     """collect_hitting for each (hole, n_orbits, t_max) request, from one
     march of the first max(n_orbits) SRB orbits.
 
@@ -167,18 +166,16 @@ def collect_hitting_family(table, requests, seed, track_induced=False):
     n_lanes, longest = max(widths), max(horizons)
     retire_at = set(horizons) - {longest}
     s, phi = SrbSampler(table, seed).sample(n_lanes)
-    counter = np.zeros(n_lanes, dtype=np.int64) if track_induced else None
+    counter = np.zeros(n_lanes, dtype=np.int64)
     # per request: the induced counters at its horizon (none yet at step 0)
-    finals = [np.zeros(n, dtype=np.int64) if track_induced and not horizon
-              else None for n, horizon in zip(widths, horizons)]
+    finals = [None if horizon else np.zeros(n, dtype=np.int64)
+              for n, horizon in zip(widths, horizons)]
     empty = np.empty(0, dtype=np.int64)
     # per request: orbit, index and induced-counter chunks
     found = [([empty], [empty], [empty]) for _ in requests]
 
     def observe(j, lanes, s, phi, now, prev):
-        if track_induced:
-            member = base_mask(table, now, prev)
-            counter[lanes[member]] += 1
+        counter[lanes[base_mask(table, now, prev)]] += 1
         for k, (hole, n, _) in enumerate(requests):
             if j > horizons[k]:
                 continue
@@ -191,9 +188,8 @@ def collect_hitting_family(table, requests, seed, track_induced=False):
                 ho = own[hits]
                 found[k][0].append(ho)
                 found[k][1].append(np.full(ho.size, j, dtype=np.int64))
-                if track_induced:
-                    found[k][2].append(counter[ho])
-            if track_induced and j == horizons[k]:
+                found[k][2].append(counter[ho])
+            if j == horizons[k]:
                 finals[k] = counter[:n].copy()
         if j in retire_at:      # keep the lanes a longer request covers
             width = max(n for n, h in zip(widths, horizons) if h > j)
@@ -205,7 +201,7 @@ def collect_hitting_family(table, requests, seed, track_induced=False):
             requests, horizons, found, finals):
         hit_orbit, hit_index = np.concatenate(orbits), np.concatenate(index)
         order = np.lexsort((hit_index, hit_orbit))
-        if track_induced and final is None:
+        if final is None:
             final = counter[:n].copy()   # every lane stopped before this horizon
         within = censor_step[:n] <= horizon
         family.append(HittingData(
@@ -213,8 +209,7 @@ def collect_hitting_family(table, requests, seed, track_induced=False):
             seed=seed, hit_orbit=hit_orbit[order], hit_index=hit_index[order],
             censor_step=np.where(within, censor_step[:n], horizon + 1),
             censor_kind=np.where(within, censor_kind[:n], np.int8(0)),
-            hit_induced=np.concatenate(induced)[order] if track_induced
-            else None, final_induced=final))
+            hit_induced=np.concatenate(induced)[order], final_induced=final))
     return family
 
 
@@ -330,14 +325,12 @@ def short_return_fraction(table, hole, epsilon=0.1, n_hits=20000, seed=0,
                           t_max=CHECK_T_MAX):
     """HittingData.short_returns over short_return_orbits(n_hits, t_max)
     orbits, a budget fixed up front for determinism."""
-    return collect_hitting(
-        table, hole, short_return_orbits(n_hits, t_max), t_max, seed,
-        track_induced=True).short_returns(epsilon)
+    return collect_hitting(table, hole, short_return_orbits(n_hits, t_max),
+                           t_max, seed).short_returns(epsilon)
 
 
 def quasi_section_defect(table, hole, n_orbits, seed, t_max=CHECK_T_MAX):
     """HittingData.quasi_section over n_orbits orbits, for the kind of the
     component that holds the hole."""
-    return collect_hitting(
-        table, hole, n_orbits, t_max, seed, track_induced=True
-    ).quasi_section(table.components[hole.component].kind)
+    return collect_hitting(table, hole, n_orbits, t_max, seed).quasi_section(
+        table.components[hole.component].kind)

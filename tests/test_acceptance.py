@@ -20,7 +20,7 @@ from openbilliards import build_table, make_hole
 from openbilliards.cones import cone_invariance_scan
 from openbilliards.dynamics import FLAG_OK, step_batch, tangent_map_batch
 from openbilliards.geometry import cut_stadium_components, regular_flower_components
-from openbilliards.inducing import kac_defect, return_tail
+from openbilliards.inducing import base_returns
 from openbilliards.measure import SrbSampler, invariance_defect
 from openbilliards.openstats import (
     CHECK_T_MAX,
@@ -68,11 +68,11 @@ def first_hit_ks(data):
     return ks_exp1(finite)
 
 
-def sweep(table, center_s, n_orbits, t_max, track_induced=False):
+def sweep(table, center_s, n_orbits, t_max):
     """Hitting data per radius of RADII, all from one march at seed 7."""
     holes = [make_hole(table, center_s, r) for r in RADII]
     family = collect_hitting_family(
-        table, [(hole, n_orbits, t_max) for hole in holes], 7, track_induced)
+        table, [(hole, n_orbits, t_max) for hole in holes], 7)
     return dict(zip(RADII, family))
 
 
@@ -229,13 +229,15 @@ def test_criterion_04_cone_invariance(tables):
 
 def test_criterion_05_kac_identity(tables):
     """Mean return time times base measure equals one."""
-    rep = kac_defect(tables["sinai_torus"], 1_000_000, cap=100, seed=51)
+    rep = base_returns(tables["sinai_torus"], 1_000_000, cap=100,
+                       seed=51).kac()
     print(f"[criterion 5] sinai_torus: defect={rep.defect} (exact 0, "
           f"mu_x={rep.mu_x})")
     assert rep.defect == 0.0
     assert rep.mu_x == 1.0
     for name in ("stadium", "flower", "semi_dispersing"):
-        rep = kac_defect(tables[name], 1_000_000, cap=50_000, seed=51)
+        rep = base_returns(tables[name], 1_000_000, cap=50_000,
+                           seed=51).kac()
         print(f"[criterion 5] {name}: defect={rep.defect:.5f} (<0.01) "
               f"mean_R={rep.mean_R:.4f} mu_x={rep.mu_x:.4f} "
               f"censored={rep.censored_fraction:.2e}")
@@ -245,7 +247,8 @@ def test_criterion_05_kac_identity(tables):
 
 def test_criterion_06_return_tail_integrable(tables):
     """Stadium return-time tail decays fast enough to integrate."""
-    rep = return_tail(tables["stadium"], 1_000_000, cap=50_000, seed=61)
+    rep = base_returns(tables["stadium"], 1_000_000, cap=50_000,
+                       seed=61).tail()
     assert np.all(np.diff(rep.survival) <= 0.0)
     sel = (rep.n >= 10) & (rep.n <= 1000) & (rep.survival > 0)
     slope = np.polyfit(np.log(rep.n[sel].astype(float)),
@@ -329,7 +332,7 @@ def test_criterion_11_quasi_section_defect(tables):
     every collision starts its own excursion."""
     stadium = tables["stadium"]
     defects, ratios = [], []
-    for r, data in sweep(stadium, 1.0, 3000, CHECK_T_MAX, True).items():
+    for r, data in sweep(stadium, 1.0, 3000, CHECK_T_MAX).items():
         hole = make_hole(stadium, 1.0, r)
         rep = data.quasi_section(stadium.components[hole.component].kind)
         assert rep.host_kind == "flat"

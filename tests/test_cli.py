@@ -31,6 +31,21 @@ def write_cfg(path, cfg):
     return str(path)
 
 
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+def strict_json(text):
+    """json.loads that raises on the NaN and Infinity tokens, which are not
+    JSON (RFC 8259)."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
+def read_json(path):
+    """A JSON output file, parsed strictly."""
+    return strict_json(Path(path).read_text())
+
+
 @pytest.fixture()
 def sinai_cfg(tmp_path):
     return write_cfg(tmp_path / "sinai.yaml", SINAI_CFG)
@@ -96,10 +111,10 @@ def test_run_writes_outputs(sinai_cfg, tmp_path):
         for f in ("hits.csv", "survival.csv", "counts.csv",
                   "diagnostics.json"):
             assert (out / tag / f).exists()
-    manifest = json.loads((out / "manifest.json").read_text())
+    manifest = read_json(out / "manifest.json")
     assert manifest["config"]["run"]["seed"] == 11
     assert manifest["table_class"] == "sinai_torus"
-    summary = json.loads((out / "summary.json").read_text())
+    summary = read_json(out / "summary.json")
     assert summary["radii"] == [0.05, 0.02]
     entry = summary["per_radius"]["r_0.02"]
     assert 0.0 <= entry["ks_exp1"] <= 1.0
@@ -158,7 +173,7 @@ def test_run_seed_override_changes_hits(sinai_cfg, tmp_path):
     assert main(["run", sinai_cfg, "--out", str(b), "--seed", "99"]) == 0
     assert (a / "r_0.05" / "hits.csv").read_bytes() \
         != (b / "r_0.05" / "hits.csv").read_bytes()
-    manifest = json.loads((b / "manifest.json").read_text())
+    manifest = read_json(b / "manifest.json")
     assert manifest["resolved_seed"] == 99
     assert manifest["config"]["run"]["seed"] == 99
 
@@ -176,7 +191,7 @@ def test_check_cones_clean_and_enforced(sinai_cfg, tmp_path):
     out = tmp_path / "o"
     assert main(["check", "cones", sinai_cfg, "--out", str(out),
                  "--enforce"]) == 0
-    result = json.loads((out / "cones.json").read_text())
+    result = read_json(out / "cones.json")
     assert result["violations"] == 0
 
 
@@ -224,7 +239,7 @@ def test_check_and_inducing_reject_crossing_components(command, tmp_path,
 def test_check_invariants(sinai_cfg, tmp_path, capsys):
     out = tmp_path / "o"
     assert main(["check", "invariants", sinai_cfg, "--out", str(out)]) == 0
-    result = json.loads((out / "invariants.json").read_text())
+    result = read_json(out / "invariants.json")
     assert result["ks_phi"] < 0.05
 
 
@@ -239,7 +254,7 @@ def test_inducing_outputs(tmp_path):
     tail = (out / "return_tail.csv").read_text().splitlines()
     assert tail[0] == "n,survival,count"
     assert len(tail) > 5
-    result = json.loads((out / "inducing.json").read_text())
+    result = read_json(out / "inducing.json")
     assert result["kac_defect"] < 0.1
 
 
@@ -260,14 +275,14 @@ def test_inducing_marches_once_and_matches_separate_calls(tmp_path,
     monkeypatch.undo()
 
     table = build_table("stadium", flat_length=2.0)
-    tail = inducing.return_tail(table, 5000, 2000, 4)
-    kac = inducing.kac_defect(table, 5000, 2000, 4)
+    returns = inducing.base_returns(table, 5000, 2000, 4)
+    tail, kac = returns.tail(), returns.kac()
     with open(out / "return_tail.csv", newline="") as f:
         rows = list(csv.reader(f))
     assert rows == [["n", "survival", "count"]] + [
         [str(n), repr(float(v)), str(c)]
         for n, v, c in zip(tail.n, tail.survival, tail.count)]
-    assert json.loads((out / "inducing.json").read_text()) == {
+    assert read_json(out / "inducing.json") == {
         "kac_defect": kac.defect, "mu_x": kac.mu_x, "mean_R": kac.mean_R,
         "n_base": kac.n_base, "censored_fraction": kac.censored_fraction,
         "tail_max_n": int(tail.n[-1]), "cap_fraction": tail.cap_fraction}
@@ -317,7 +332,7 @@ def test_run_marches_once_and_matches_separate_calls(tmp_path, monkeypatch):
                                               seed=11)
         q = openstats.quasi_section_defect(table, hole, 500, 11)
         rdir = f"r_{r:g}"
-        assert json.loads((out / rdir / "diagnostics.json").read_text()) \
+        assert read_json(out / rdir / "diagnostics.json") \
             == {"censoring": data.censored_fraction,
                 "short_return": {"fraction": srr.fraction, "p": srr.p,
                                  "n_pairs": srr.n_pairs},
@@ -336,13 +351,52 @@ def test_run_survival_at_1_is_null_below_t_max_1(tmp_path):
     out = tmp_path / "o"
     assert main(["run", write_cfg(tmp_path / "c.yaml", cfg),
                  "--out", str(out)]) == 0
-    entry = json.loads((out / "summary.json").read_text())["per_radius"]
+    entry = read_json(out / "summary.json")["per_radius"]
     assert entry["r_0.5"]["survival_at_1"] is None
     survival = (out / "r_0.5" / "survival.csv").read_text().splitlines()
     assert survival[-1].startswith("0.5,")
 
 
 STADIUM = {"class": "stadium", "flat_length": 2.0}
+# statistics left undefined: at seed 1 one SRB sample finds no base point,
+# and three orbits of 0.2 normalized time never hit the hole
+UNDEFINED_INDUCING = {"version": 1, "table": STADIUM, "run": {"seed": 1}}
+UNDEFINED_RUN = {"version": 1, "table": STADIUM,
+                 "hole": {"center_s": 1.0, "radii": [0.05]},
+                 "run": {"seed": 1, "n_orbits": 3, "t_max": 0.2}}
+
+
+def test_undefined_statistics_are_json_null(tmp_path, capsys):
+    out = tmp_path / "o"
+    cfg = write_cfg(tmp_path / "i.yaml", UNDEFINED_INDUCING)
+    assert main(["inducing", cfg, "--out", str(out), "--samples", "1"]) == 0
+    printed = strict_json(capsys.readouterr().out)
+    assert printed == read_json(out / "inducing.json")
+    assert printed["n_base"] == 0
+    assert printed["kac_defect"] is None and printed["mean_R"] is None
+    cfg = copy.deepcopy(UNDEFINED_RUN)
+    cfg["run"]["intervals"] = [[0, 0.1], [0.1, 0.2]]
+    assert main(["run", write_cfg(tmp_path / "r.yaml", cfg),
+                 "--out", str(out)]) == 0
+    entry = read_json(out / "summary.json")["per_radius"]["r_0.05"]
+    assert entry["ks_exp1"] is None and entry["count_correlation"] is None
+
+
+@pytest.mark.parametrize("command, cfg, statistic", [
+    (["inducing", "--samples", "1"], UNDEFINED_INDUCING, "kac defect"),
+    (["run"], UNDEFINED_RUN, "r_0.05: ks_exp1"),
+])
+def test_enforce_fails_closed_on_undefined_statistics(command, cfg, statistic,
+                                                      tmp_path, capsys):
+    name, *options = command
+    argv = [name, write_cfg(tmp_path / "c.yaml", cfg),
+            "--out", str(tmp_path / "o"), *options]
+    assert main(argv) == 0
+    assert "threshold breach" not in capsys.readouterr().err
+    assert main(argv + ["--enforce"]) == 3
+    err = capsys.readouterr().err
+    assert f"threshold breach: {statistic} undefined" in err
+    assert err.count("threshold breach") == 1
 
 
 @pytest.mark.parametrize("change, message", [
@@ -424,7 +478,7 @@ def test_manifest_echoes_resolved_config(tmp_path):
                     {"version": 1, "table": STADIUM, "run": {"seed": 1}})
     out = tmp_path / "o"
     assert main(["run", cfg, "--out", str(out), "--seed", "5"]) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
+    manifest = read_json(out / "manifest.json")
     config = manifest["config"]
     assert config["table"] == STADIUM and config["hole"] is None
     assert config["run"] == {"seed": 5, "n_orbits": 1000, "t_max": 50.0,

@@ -551,5 +551,5 @@ def test_orbit_censors_on_grazing():
 
 def test_orbit_component_tracking():
     table = make("stadium")
-    rec = orbit(table, PhasePoint(0.3, 0.2), 8, track_components=True)
+    rec = orbit(table, PhasePoint(0.3, 0.2), 8)
     assert list(rec.components) == [t[3] for t in FROZEN_TRACE["stadium"]]

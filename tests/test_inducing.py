@@ -7,9 +7,8 @@ from openbilliards.geometry import regular_flower_components
 from openbilliards.inducing import (
     ExtendedPhasePoint,
     base_mask,
+    base_returns,
     in_base,
-    kac_defect,
-    return_tail,
     return_time,
     sample_base_points,
 )
@@ -98,7 +97,7 @@ def test_return_time_replay(stadium):
 
 
 def test_kac_exact_on_dispersing(sinai):
-    rep = kac_defect(sinai, 20000, cap=100, seed=3)
+    rep = base_returns(sinai, 20000, cap=100, seed=3).kac()
     assert rep.defect == 0.0
     assert rep.mu_x == 1.0
     assert rep.mean_R == 1.0
@@ -108,14 +107,14 @@ def test_kac_exact_on_dispersing(sinai):
 @pytest.mark.parametrize("name", ["stadium", "flower", "semi"])
 def test_kac_identity_small_defect(name, request):
     table = request.getfixturevalue(name)
-    rep = kac_defect(table, 100000, cap=20000, seed=3)
+    rep = base_returns(table, 100000, cap=20000, seed=3).kac()
     assert rep.defect < 0.03
     assert rep.censored_fraction < 0.01
     assert rep.n_base > 1000
 
 
 def test_tail_sinai_degenerate(sinai):
-    rep = return_tail(sinai, 5000, cap=50, seed=1)
+    rep = base_returns(sinai, 5000, cap=50, seed=1).tail()
     assert rep.n.tolist() == [1]
     assert rep.survival.tolist() == [0.0]
     assert rep.count[0] == rep.n_base
@@ -124,7 +123,7 @@ def test_tail_sinai_degenerate(sinai):
 
 
 def test_tail_stadium_quadratic(stadium):
-    rep = return_tail(stadium, 100000, cap=20000, seed=2)
+    rep = base_returns(stadium, 100000, cap=20000, seed=2).tail()
     assert np.all(np.diff(rep.survival) <= 0)
     assert np.all((rep.survival >= 0) & (rep.survival <= 1))
     assert rep.count.sum() == rep.n_base - round(rep.cap_fraction * rep.n_base)
@@ -137,14 +136,14 @@ def test_tail_stadium_quadratic(stadium):
 
 
 def test_tail_semi_has_spread(semi):
-    rep = return_tail(semi, 20000, cap=5000, seed=4)
+    rep = base_returns(semi, 20000, cap=5000, seed=4).tail()
     assert rep.n.size > 3            # wall bounces stretch returns
     assert rep.survival[0] > 0.2
     assert rep.mean_R > 1.5
 
 
 def test_tail_cap_accounting(stadium):
-    rep = return_tail(stadium, 20000, cap=3, seed=5)
+    rep = base_returns(stadium, 20000, cap=3, seed=5).tail()
     assert rep.cap_fraction > 0.0
     assert rep.n.size <= 3
     # capped lanes sit above every tabulated n, so survival stays positive
@@ -152,8 +151,8 @@ def test_tail_cap_accounting(stadium):
 
 
 def test_tail_deterministic(stadium):
-    a = return_tail(stadium, 5000, cap=1000, seed=6)
-    b = return_tail(stadium, 5000, cap=1000, seed=6)
+    a = base_returns(stadium, 5000, cap=1000, seed=6).tail()
+    b = base_returns(stadium, 5000, cap=1000, seed=6).tail()
     assert np.array_equal(a.survival, b.survival)
     assert np.array_equal(a.count, b.count)
 
@@ -168,7 +167,5 @@ def test_sample_base_points_members(stadium):
 
 
 def test_rejects_empty(stadium):
-    with pytest.raises(ValueError):
-        return_tail(stadium, 0, cap=10, seed=0)
-    with pytest.raises(ValueError):
-        kac_defect(stadium, 0, cap=10, seed=0)
+    with pytest.raises(ValueError, match="n_samples"):
+        base_returns(stadium, 0, cap=10, seed=0)

@@ -96,8 +96,7 @@ def chunked(table, holes, t_max, n, size):
     out = [{f: [] for f in FIELDS} for _ in holes]
     for lo in range(0, n, size):
         part = collect_hitting_family(
-            table, [(h, min(size, n - lo), t_max) for h in holes], lo,
-            track_induced=True)
+            table, [(h, min(size, n - lo), t_max) for h in holes], lo)
         for rec, data in zip(out, part):
             for f in FIELDS:
                 shift = lo if f == "hit_orbit" else 0
@@ -115,7 +114,7 @@ def test_chunked_march_matches_whole(name, monkeypatch):
     holes = holes_of(table)
     t_max = 100 * holes[0].measure        # horizons of about 100 and 200
     whole = collect_hitting_family(table, [(h, 26, t_max) for h in holes],
-                                   0, track_induced=True)
+                                   0)
     assert np.count_nonzero(whole[1].censor_kind) > 0
     assert np.count_nonzero(whole[1].censor_kind == FLAG_OK) > 0
     assert whole[1].hit_orbit.size > 0
@@ -134,14 +133,10 @@ def assert_same(data, alone):
                            alone.t_max, alone.seed)
     for f in FIELDS:
         a, b = getattr(data, f), getattr(alone, f)
-        if b is None:
-            assert a is None
-        else:
-            assert np.array_equal(a, b) and a.dtype == b.dtype, f
+        assert np.array_equal(a, b) and a.dtype == b.dtype, f
 
 
-@pytest.mark.parametrize("track_induced", [False, True])
-def test_nested_pass_equals_separate_calls(track_induced, monkeypatch):
+def test_nested_pass_equals_separate_calls(monkeypatch):
     table = TABLES["stadium"]()
     holes = [make_hole(table, 1.0, r) for r in (0.05, 0.02, 0.01)]
     h0 = math.ceil(1.0 / holes[0].measure)
@@ -154,7 +149,7 @@ def test_nested_pass_equals_separate_calls(track_induced, monkeypatch):
 
     def run(fn, *args):
         monkeypatch.setattr(dynamics, "step_batch", flag_at(real, plan))
-        return fn(*args, 4, track_induced)
+        return fn(*args, 4)
 
     family = run(collect_hitting_family, table,
                  [(h, 100, 1.0) for h in holes])
@@ -166,8 +161,7 @@ def test_nested_pass_equals_separate_calls(track_induced, monkeypatch):
     assert np.count_nonzero(family[0].censor_step == h0) == 2
 
 
-@pytest.mark.parametrize("track_induced", [False, True])
-def test_unequal_requests_equal_separate_calls(track_induced, monkeypatch):
+def test_unequal_requests_equal_separate_calls(monkeypatch):
     # requests with their own orbit prefixes and horizons, censored by
     # landing (position plans shift with the batch width); the widest
     # request is short, so lanes past the narrower ones retire early
@@ -187,11 +181,10 @@ def test_unequal_requests_equal_separate_calls(track_induced, monkeypatch):
         return march(table, s, phi, horizon, seen, comp)
 
     monkeypatch.setattr(openstats, "march", counted)
-    family = collect_hitting_family(table, requests, 5, track_induced)
+    family = collect_hitting_family(table, requests, 5)
     n_steps, marched = len(steps), sum(steps)
     for (hole, n, t_max), data in zip(requests, family):
-        assert_same(data, collect_hitting(table, hole, n, t_max, 5,
-                                          track_induced))
+        assert_same(data, collect_hitting(table, hole, n, t_max, 5))
     censored = [np.count_nonzero(d.censor_kind) for d in family]
     assert censored[0] > 0 and censored[2] > censored[0]
     assert family[1].hit_orbit.size > 0 and family[4].horizon == 0
@@ -208,14 +201,13 @@ def test_family_matches_scalar_orbits():
     # own horizon, with the induced counter rebuilt from its components
     table = TABLES["stadium"]()
     holes = [make_hole(table, 1.0, r) for r in (0.05, 0.02)]
-    family = collect_hitting_family(table, [(h, 8, 1.0) for h in holes], 2,
-                                    track_induced=True)
+    family = collect_hitting_family(table, [(h, 8, 1.0) for h in holes], 2)
     s, phi = SrbSampler(table, 2).sample(8)
     comp0 = locate_batch(table, s)["component"]
     for hole, data in zip(holes, family):
         for i in range(8):
             rec = orbit(table, PhasePoint(s[i], phi[i]), data.horizon,
-                        hole=hole, track_components=True)
+                        hole=hole)
             comps = np.concatenate([[comp0[i]], rec.components])
             entries = np.cumsum(base_mask(table, comps[1:], comps[:-1]))
             sel = data.hit_orbit == i
@@ -237,7 +229,7 @@ def test_orbit_censored_at_injected_step(monkeypatch):
                          (FLAG_UNFOLD, "censored_horizon")):
         monkeypatch.setattr(dynamics, "step_batch",
                             flag_at(real, {12: [(0, code)]}))
-        rec = orbit(table, x0, 40, hole=hole, track_components=True)
+        rec = orbit(table, x0, 40, hole=hole)
         assert rec.status == status and rec.flag == code
         assert rec.n_steps == 11
         assert rec.final == before.final

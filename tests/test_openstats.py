@@ -27,24 +27,27 @@ def stadium():
 
 
 def synth(mu, n_orbits, t_max, hits, censor_step=None, final_induced=None):
-    """Hand-built HittingData from (orbit, index) pairs, or from (orbit,
-    index, induced counter) triples plus the final induced counters."""
+    """Hand-built HittingData from (orbit, index, induced counter) triples
+    plus the final induced counters, or from (orbit, index) pairs on a table
+    where every collision enters the base: induced time is the index, and an
+    orbit's final counter is the last collision of its record."""
     horizon = int(math.ceil(t_max / mu))
     hits = sorted(hits)
     orb = np.array([h[0] for h in hits], dtype=np.int64)
     idx = np.array([h[1] for h in hits], dtype=np.int64)
     if censor_step is None:
         censor_step = np.full(n_orbits, horizon + 1, dtype=np.int64)
-    induced = None
-    if final_induced is not None:
+    censor_step = np.asarray(censor_step, dtype=np.int64)
+    induced = idx
+    if final_induced is None:
+        final_induced = np.minimum(censor_step - 1, horizon)
+    else:
         induced = np.array([h[2] for h in hits], dtype=np.int64)
-        final_induced = np.asarray(final_induced, dtype=np.int64)
     return HittingData(
         mu=mu, n_orbits=n_orbits, horizon=horizon, t_max=t_max, seed=0,
-        hit_orbit=orb, hit_index=idx,
-        censor_step=np.asarray(censor_step, dtype=np.int64),
-        censor_kind=np.zeros(n_orbits, dtype=np.int8),
-        hit_induced=induced, final_induced=final_induced,
+        hit_orbit=orb, hit_index=idx, censor_step=censor_step,
+        censor_kind=np.zeros(n_orbits, dtype=np.int8), hit_induced=induced,
+        final_induced=np.asarray(final_induced, dtype=np.int64),
     )
 
 
@@ -96,9 +99,10 @@ def test_collect_tracks_induced_on_dispersing(sinai):
     # every sinai collision enters the base, so the induced counter is
     # just the collision index
     hole = make_hole(sinai, 0.3, 0.05)
-    data = collect_hitting(sinai, hole, 100, 2.0, seed=6, track_induced=True)
+    data = collect_hitting(sinai, hole, 100, 2.0, seed=6)
     assert np.array_equal(data.hit_induced, data.hit_index)
-    assert np.all(data.final_induced <= data.horizon)
+    assert np.array_equal(data.final_induced,
+                          np.minimum(data.censor_step - 1, data.horizon))
 
 
 def test_ks_exp1_quantiles():
