@@ -227,8 +227,9 @@ def _out_dir(conf):
 
 
 def _fmt(x):
-    """Full-precision, locale-independent float text for CSV cells."""
-    return repr(float(x))
+    """Full-precision, locale-independent float text for CSV cells; a value
+    that is not finite is an empty cell, the CSV form of JSON null."""
+    return repr(float(x)) if math.isfinite(x) else ""
 
 
 def _write_csv(path, header, rows):
@@ -336,10 +337,15 @@ def cmd_run(args):
                     entry["count_correlation"] = float(cr.correlations[0, 1])
             diag = {"censoring": entry["censored_fraction"]}
             if checks["short_returns"]:
-                srr = next(family).short_returns()
-                entry["short_return_fraction"] = srr.fraction
-                diag["short_return"] = {"fraction": srr.fraction, "p": srr.p,
-                                        "n_pairs": srr.n_pairs}
+                try:
+                    srr = next(family).short_returns()
+                except ValueError:      # no hit pair, no fraction
+                    sr = {"fraction": None, "p": None, "n_pairs": 0}
+                else:
+                    sr = {"fraction": srr.fraction, "p": srr.p,
+                          "n_pairs": srr.n_pairs}
+                entry["short_return_fraction"] = sr["fraction"]
+                diag["short_return"] = sr
             if checks["quasi_section"]:
                 q = next(family).quasi_section(
                     table.components[hole.component].kind)
@@ -418,7 +424,7 @@ def cmd_inducing(args):
     result = {
         "kac_defect": kac.defect, "mu_x": kac.mu_x, "mean_R": kac.mean_R,
         "n_base": kac.n_base, "censored_fraction": kac.censored_fraction,
-        "tail_max_n": int(tail.n[-1]) if tail.n.size else 0,
+        "tail_max_n": int(tail.n[-1]) if tail.n.size else None,
         "cap_fraction": tail.cap_fraction,
     }
     _write_json(out / "inducing.json", result)

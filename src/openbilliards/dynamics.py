@@ -11,11 +11,11 @@ keeps only the map itself: the flight direction, the unit-cell walk on the
 torus, the reflection angle and the censoring flags.  Every formula on the
 boundary's components lives in the table's batch geometry: locate_batch
 gives the start point and normal, nearest is the one ray-boundary test (at
-cell offset (0, 0) for every table; on the torus the lanes that miss their
-own cell walk the unit cells with it) and impact maps the hit back to
-arclength and normal.  The torus walk goes in blocks of cells, one nearest
-call per block for every lane still walking, so a batch with one corridor
-flight pays numpy dispatch per block rather than per cell of that flight.
+cell offset (0, 0) on a bounded table; on the torus, at each cell a ray
+enters, its own first) and impact maps the hit back to arclength and normal.
+The torus walk goes in blocks of cells, one nearest call per block for
+every lane still walking, so a batch with one corridor flight pays numpy
+dispatch per block rather than per cell of that flight.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .geometry import locate_batch
 EPS_GRAZE = 1e-6
 # candidate flight times below GUARD_FACTOR * diameter are re-hit noise
 GUARD_FACTOR = 1e-12
-# lattice unfolding gives up after marching this many cells (infinite horizon)
+# the torus walk gives up after testing this many cells, its own included
 UNFOLD_MAX_CELLS = 1000
 # the unit-cell walk tests its first _BLOCK_FIRST cells in one nearest call,
 # then blocks twice as long, up to _BLOCK_CAP cells
@@ -90,42 +90,45 @@ def _crossings(b, tmax, tdelta):
 
 
 def _dda_block(b, tmaxx, tmaxy, tdx, tdy):
-    """The next b steps of each lane's Amanatides-Woo walk at once.
+    """Each lane's current cell and the next b steps of its Amanatides-Woo
+    walk at once.
 
     Returns (nx, ny, xs, ys): nx[j], ny[j] count the x and y steps among the
-    first j + 1, and xs, ys are the crossing times, so a lane's tmax after
-    step j is xs[nx[j]], ys[ny[j]].  The stable sort of [y crossings, x
-    crossings] merges them with the walk's tie rule: an x step only where
-    tmaxx < tmaxy, so a y step wins a tie.
+    first j, so row 0 is the current cell, and xs, ys are the crossing
+    times, so a lane's tmax after step j is xs[nx[j]], ys[ny[j]].  The
+    stable sort of [y crossings, x crossings] merges them with the walk's
+    tie rule: an x step only where tmaxx < tmaxy, so a y step wins a tie.
     """
     xs = _crossings(b, tmaxx, tdx)
     ys = _crossings(b, tmaxy, tdy)
     order = np.argsort(np.concatenate([ys[:b], xs[:b]]), axis=0,
                        kind="stable")[:b]
-    nx = np.cumsum(order >= b, axis=0)
-    return nx, np.arange(1, b + 1)[:, None] - nx, xs, ys
+    nx = np.zeros((b + 1, tmaxx.size), dtype=np.intp)
+    nx[1:] = np.cumsum(order >= b, axis=0)
+    return nx, np.arange(b + 1)[:, None] - nx, xs, ys
 
 
-def _unfold(bg, px, py, dx, dy, guard, tau, comp):
-    """Walk the lanes that missed their own cell through the unit cells
-    their rays enter (Amanatides & Woo), filling tau and comp in place.
+def _unfold(bg, px, py, dx, dy, guard):
+    """The torus search: walk every lane from its own cell through the unit
+    cells its ray enters (Amanatides & Woo).
 
     Every scatterer disk sits strictly inside its cell, so testing only the
     cells the ray traverses (in entry order) is exact.  The walk goes in
-    blocks: every lane still walking takes its next cells from _dda_block
-    (_BLOCK_FIRST of them, doubling up to _BLOCK_CAP), one nearest call tests
-    them all, and a lane stops at its first hitting cell in entry order, so
-    a batch pays numpy dispatch per block, not per cell of its longest
-    flight.  Returns each lane's cell offset and the overflow mask: lanes
-    that met nothing in UNFOLD_MAX_CELLS cells, whose offset has taken one
-    more walk step, untested.
+    blocks: one nearest call tests each walking lane's current cell and the
+    cells after it (_BLOCK_FIRST cells, the own one included, doubling up to
+    _BLOCK_CAP), a lane stops at its first hitting cell, and a lane that
+    missed them all steps to the first cell it has not tested.  So a batch
+    pays numpy dispatch per block, not per cell of its longest flight.
+    Returns (tau, comp, cellx, celly, overflow): each lane's hit and cell
+    offset, and the lanes that met nothing in UNFOLD_MAX_CELLS cells, whose
+    offset is one walk step past their last tested cell.
     """
     n = px.size
+    tau = np.full(n, np.inf)
+    comp = np.full(n, -1, dtype=np.int64)
     cellx = np.zeros(n)
     celly = np.zeros(n)
-    overflow = np.zeros(n, dtype=bool)
-    lanes = np.flatnonzero(tau == np.inf)
-    px, py, dx, dy = px[lanes], py[lanes], dx[lanes], dy[lanes]
+    lanes = np.arange(n)
     with np.errstate(divide="ignore", invalid="ignore"):
         # one row per lane quantity, so retiring lanes is one compaction
         walk = np.array([
@@ -136,25 +139,21 @@ def _unfold(bg, px, py, dx, dy, guard, tau, comp):
             np.where(dy != 0, np.abs(1.0 / dy), np.inf),
             np.where(dx != 0, (np.where(dx > 0, 1.0, 0.0) - px) / dx, np.inf),
             np.where(dy != 0, (np.where(dy > 0, 1.0, 0.0) - py) / dy, np.inf),
-            np.zeros(lanes.size), np.zeros(lanes.size)])
+            np.zeros(n), np.zeros(n)])
 
     tested, size = 0, _BLOCK_FIRST
-    while lanes.size:
+    while lanes.size and tested < UNFOLD_MAX_CELLS:
         _, _, _, _, stepx, stepy, tdx, tdy, tmaxx, tmaxy, cx, cy = walk
-        b = min(size, UNFOLD_MAX_CELLS - 1 - tested)
-        nx, ny, xs, ys = _dda_block(max(b, 1), tmaxx, tmaxy, tdx, tdy)
+        b = min(size, UNFOLD_MAX_CELLS - tested)
+        nx, ny, xs, ys = _dda_block(b, tmaxx, tmaxy, tdx, tdy)
         bx = cx + stepx * nx
         by = cy + stepy * ny
-        if b == 0:                     # the last step, taken untested
-            cellx[lanes], celly[lanes] = bx[0], by[0]
-            overflow[lanes] = True
-            break
-        t, k = bg.nearest(*np.tile(walk[:4], b), bx.ravel(), by.ravel(),
-                          guard)
+        t, k = bg.nearest(*np.tile(walk[:4], b), bx[:b].ravel(),
+                          by[:b].ravel(), guard)
         hit = (t < np.inf).reshape(b, -1)
         met = hit.any(axis=0)
-        # each lane's first hitting cell, or the block's last one
-        col = np.where(met, hit.argmax(axis=0), b - 1)
+        # each lane's first hitting cell, or the first one it has not tested
+        col = np.where(met, hit.argmax(axis=0), b)
         i = np.arange(lanes.size)
         cx[:], cy[:] = bx[col, i], by[col, i]
         tmaxx[:], tmaxy[:] = xs[nx[col, i], i], ys[ny[col, i], i]
@@ -165,7 +164,7 @@ def _unfold(bg, px, py, dx, dy, guard, tau, comp):
         lanes, walk = lanes[~met], walk[:, ~met]
         tested += b
         size = min(2 * size, _BLOCK_CAP)
-    return cellx, celly, overflow
+    return tau, comp, cellx, celly, lanes
 
 
 def step_batch(table, s, phi):
@@ -187,10 +186,11 @@ def step_batch(table, s, phi):
     del loc, c, sn  # only the rays stay alive through the search
     guard = GUARD_FACTOR * table.diameter
 
-    tau, comp = bg.nearest(px, py, dx, dy, 0.0, 0.0, guard)
-    ox = oy = 0.0
     if table.lattice:
-        ox, oy, overflow = _unfold(bg, px, py, dx, dy, guard, tau, comp)
+        tau, comp, ox, oy, overflow = _unfold(bg, px, py, dx, dy, guard)
+    else:
+        tau, comp = bg.nearest(px, py, dx, dy, 0.0, 0.0, guard)
+        ox = oy = 0.0
 
     lost = ~np.isfinite(tau)
     safe_tau = np.where(lost, 0.0, tau)

@@ -146,10 +146,11 @@ class BaseReturns:
         R, cap_hit, flagged = self.R, self.cap_hit, self.flagged
         n_valid = int((~flagged).sum())
         R_ok = R[~flagged & ~cap_hit]
-        n_max = int(R_ok.max()) if R_ok.size else 1
+        # no row without a base point; capped lanes alone give the row n = 1
+        n_max = int(R_ok.max()) if R_ok.size else min(n_valid, 1)
         count = np.bincount(R_ok, minlength=n_max + 1)[1:]
-        # lanes past the cap exceed every tabulated n
-        above = np.concatenate([count[::-1].cumsum()[::-1][1:], [0]])
+        # returns after n, plus the lanes past the cap, which exceed every n
+        above = count[::-1].cumsum()[::-1] - count
         survival = (above + int(cap_hit.sum())) / max(n_valid, 1)
         return TailReport(
             n=np.arange(1, n_max + 1),

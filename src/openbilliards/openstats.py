@@ -227,14 +227,17 @@ def survival_curve(data, t_grid):
 
     Orbits censored before their first hit are excluded and tallied; orbits
     that never hit within the horizon survive past every grid point (the
-    grid must not extend beyond t_max).
+    grid must not extend beyond t_max).  With no orbit left the curve is NaN.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size and t_grid.max() > data.t_max + 1e-12:
         raise ValueError("survival grid extends beyond the collected horizon")
     excluded = data.censored_before_first_hit()
     fh = data.first_hits()[~excluded]
-    emp = (fh[None, :] > t_grid[:, None]).mean(axis=1)
+    if fh.size:
+        emp = (fh[None, :] > t_grid[:, None]).mean(axis=1)
+    else:
+        emp = np.full(t_grid.shape, np.nan)
     return SurvivalCurve(
         t=t_grid, empirical=emp, exponential=np.exp(-t_grid),
         n_orbits=int(fh.size),
@@ -274,7 +277,8 @@ def count_statistics(data, intervals):
     Counts hits with normalized time in (a, b] per orbit, skipping (and
     tallying) orbits censored before the largest endpoint.  TV distances lump
     the Poisson tail at k = 20; correlations are plain Pearson between the
-    per-orbit counts of interval pairs.
+    per-orbit counts of interval pairs.  Statistics of too few eligible
+    orbits are NaN: TV and means with none, correlations with fewer than 2.
     """
     iv = [(float(a), float(b)) for a, b in intervals]
     if not iv:
@@ -299,24 +303,27 @@ def count_statistics(data, intervals):
         per_orbit = np.bincount(data.hit_orbit[sel], minlength=data.n_orbits)
         counts[:, k] = per_orbit[eligible]
 
-    tv = np.empty(len(iv))
-    for k, (a, b) in enumerate(iv):
+    n = counts.shape[0]
+    tv = np.full(len(iv), np.nan)
+    for k, (a, b) in enumerate(iv if n else ()):
         lam = b - a
         pmf = poisson_pmf(lam, TV_TAIL_K)
         emp = np.bincount(np.minimum(counts[:, k], TV_TAIL_K),
-                          minlength=TV_TAIL_K + 1) / max(counts.shape[0], 1)
+                          minlength=TV_TAIL_K + 1) / n
         model = np.concatenate([pmf, [max(1.0 - pmf.sum(), 0.0)]])
         tv[k] = 0.5 * np.abs(emp - model).sum()
 
-    if len(iv) > 1 and counts.shape[0] > 1:
+    if n < 2:
+        corr = np.full((len(iv), len(iv)), np.nan)
+    elif len(iv) > 1:
         with np.errstate(invalid="ignore"):
             corr = np.corrcoef(counts.T)
     else:
-        corr = np.ones((len(iv), len(iv)))
+        corr = np.ones((1, 1))
     return CountReport(
         intervals=tuple(iv), counts=counts, tv=tv, correlations=corr,
-        means=counts.mean(axis=0) if counts.size else np.zeros(len(iv)),
-        n_orbits=counts.shape[0],
+        means=counts.mean(axis=0) if n else np.full(len(iv), np.nan),
+        n_orbits=n,
         excluded_fraction=float(1.0 - eligible.mean()),
     )
 

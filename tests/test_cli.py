@@ -46,6 +46,18 @@ def read_json(path):
     return strict_json(Path(path).read_text())
 
 
+def strict_csv(path):
+    """The rows of a CSV output; raises on a nan or inf cell, which the
+    writer leaves empty (the CSV form of JSON null)."""
+    with open(path, newline="") as f:
+        rows = list(csv.reader(f))
+    for row in rows:
+        for cell in row:
+            if cell.lower().lstrip("+-") in ("nan", "inf", "infinity"):
+                raise ValueError(f"{cell} in {path} is not a number")
+    return rows
+
+
 @pytest.fixture()
 def sinai_cfg(tmp_path):
     return write_cfg(tmp_path / "sinai.yaml", SINAI_CFG)
@@ -120,9 +132,14 @@ def test_run_writes_outputs(sinai_cfg, tmp_path):
     assert 0.0 <= entry["ks_exp1"] <= 1.0
     assert summary["checks"]["kac"]["defect"] == 0.0
     assert summary["checks"]["cones"]["violations"] == 0
-    hits = (out / "r_0.05" / "hits.csv").read_text().splitlines()
-    assert hits[0] == "orbit,index,normalized_time"
+    hits = strict_csv(out / "r_0.05" / "hits.csv")
+    assert hits[0] == ["orbit", "index", "normalized_time"]
     assert len(hits) > 10
+    for tag in ("r_0.05", "r_0.02"):
+        assert strict_csv(out / tag / "survival.csv")[0] \
+            == ["t", "empirical", "exponential"]
+        assert strict_csv(out / tag / "counts.csv")[0] \
+            == ["orbit", "interval", "count"]
 
 
 def test_run_is_byte_deterministic(sinai_cfg, tmp_path):
@@ -251,8 +268,8 @@ def test_inducing_outputs(tmp_path):
                      "budgets": {"kac_samples": 5000, "return_cap": 2000}})
     out = tmp_path / "o"
     assert main(["inducing", cfg, "--out", str(out)]) == 0
-    tail = (out / "return_tail.csv").read_text().splitlines()
-    assert tail[0] == "n,survival,count"
+    tail = strict_csv(out / "return_tail.csv")
+    assert tail[0] == ["n", "survival", "count"]
     assert len(tail) > 5
     result = read_json(out / "inducing.json")
     assert result["kac_defect"] < 0.1
@@ -277,9 +294,7 @@ def test_inducing_marches_once_and_matches_separate_calls(tmp_path,
     table = build_table("stadium", flat_length=2.0)
     returns = inducing.base_returns(table, 5000, 2000, 4)
     tail, kac = returns.tail(), returns.kac()
-    with open(out / "return_tail.csv", newline="") as f:
-        rows = list(csv.reader(f))
-    assert rows == [["n", "survival", "count"]] + [
+    assert strict_csv(out / "return_tail.csv") == [["n", "survival", "count"]] + [
         [str(n), repr(float(v)), str(c)]
         for n, v, c in zip(tail.n, tail.survival, tail.count)]
     assert read_json(out / "inducing.json") == {
@@ -353,8 +368,8 @@ def test_run_survival_at_1_is_null_below_t_max_1(tmp_path):
                  "--out", str(out)]) == 0
     entry = read_json(out / "summary.json")["per_radius"]
     assert entry["r_0.5"]["survival_at_1"] is None
-    survival = (out / "r_0.5" / "survival.csv").read_text().splitlines()
-    assert survival[-1].startswith("0.5,")
+    survival = strict_csv(out / "r_0.5" / "survival.csv")
+    assert survival[-1][0] == "0.5"
 
 
 STADIUM = {"class": "stadium", "flat_length": 2.0}
@@ -380,6 +395,84 @@ def test_undefined_statistics_are_json_null(tmp_path, capsys):
                  "--out", str(out)]) == 0
     entry = read_json(out / "summary.json")["per_radius"]["r_0.05"]
     assert entry["ks_exp1"] is None and entry["count_correlation"] is None
+
+
+# a disk of radius 0.001: at seeds 1-3 the one orbit overflows the torus
+# walk (UNFOLD_MAX_CELLS) before it meets the hole, so it is eligible for
+# no statistic
+NO_ELIGIBLE_RUN = {
+    "version": 1,
+    "table": {"class": "sinai_torus", "centers": [[0.5, 0.5]],
+              "radii": [0.001]},
+    "hole": {"center_s": 0.003, "radii": [0.0001]},
+    "run": {"seed": 1, "n_orbits": 1, "t_max": 2.0}}
+
+
+def test_short_returns_without_a_hit_pair_are_null(tmp_path, capsys):
+    cfg = {**NO_ELIGIBLE_RUN,
+           "checks": {"short_returns": True, "quasi_section": True},
+           "budgets": {"short_return_hits": 1, "quasi_orbits": 1}}
+    argv = ["run", write_cfg(tmp_path / "c.yaml", cfg),
+            "--out", str(tmp_path / "o")]
+    assert main(argv) == 0
+    rdir = tmp_path / "o" / "r_0.0001"
+    assert read_json(rdir / "diagnostics.json")["short_return"] \
+        == {"fraction": None, "p": None, "n_pairs": 0}
+    entry = read_json(tmp_path / "o" / "summary.json")["per_radius"]
+    assert entry["r_0.0001"]["short_return_fraction"] is None
+    capsys.readouterr()
+    main(argv + ["--enforce"])      # the check has no threshold
+    assert "short_return" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_survival_of_no_eligible_orbit_is_empty(seed, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["run", write_cfg(tmp_path / "c.yaml", NO_ELIGIBLE_RUN),
+                 "--out", str(out), "--seed", str(seed)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = strict_csv(out / "r_0.0001" / "survival.csv")
+    assert len(rows) == 102
+    assert all(empirical == "" and float(exponential) > 0.0
+               for _, empirical, exponential in rows[1:])
+    entry = read_json(out / "summary.json")["per_radius"]["r_0.0001"]
+    assert entry["excluded_before_first_hit"] == 1.0
+    assert entry["survival_at_1"] is None
+
+
+def test_statistics_of_no_data_are_undefined(tmp_path, capsys):
+    out = tmp_path / "i"
+    cfg = write_cfg(tmp_path / "i.yaml", UNDEFINED_INDUCING)
+    assert main(["inducing", cfg, "--out", str(out), "--samples", "1"]) == 0
+    assert strict_csv(out / "return_tail.csv") == [["n", "survival", "count"]]
+    assert read_json(out / "inducing.json")["tail_max_n"] is None
+
+    # one eligible orbit: no correlation
+    cfg = copy.deepcopy(UNDEFINED_RUN)
+    cfg["run"].update(n_orbits=1, intervals=[[0, 0.1], [0.1, 0.2]])
+    out = tmp_path / "one"
+    assert main(["run", write_cfg(tmp_path / "one.yaml", cfg),
+                 "--out", str(out)]) == 0
+    entry = read_json(out / "summary.json")["per_radius"]["r_0.05"]
+    assert len(strict_csv(out / "r_0.05" / "counts.csv")) == 3
+    assert entry["count_correlation"] is None
+    assert None not in entry["tv"] + entry["count_means"]
+
+    # no eligible orbit: no TV and no mean either, and --enforce breaches
+    cfg = {**NO_ELIGIBLE_RUN,
+           "run": {**NO_ELIGIBLE_RUN["run"], "intervals": [[0, 1], [1, 2]]}}
+    argv = ["run", write_cfg(tmp_path / "none.yaml", cfg),
+            "--out", str(tmp_path / "none")]
+    capsys.readouterr()
+    assert main(argv) == 0
+    rdir = tmp_path / "none" / "r_0.0001"
+    assert strict_csv(rdir / "counts.csv") == [["orbit", "interval", "count"]]
+    entry = read_json(tmp_path / "none" / "summary.json")["per_radius"]
+    assert entry["r_0.0001"]["tv"] == [None, None]
+    assert entry["r_0.0001"]["count_means"] == [None, None]
+    assert entry["r_0.0001"]["count_correlation"] is None
+    assert main(argv + ["--enforce"]) == 3
+    assert capsys.readouterr().err.count("r_0.0001: tv undefined") == 2
 
 
 @pytest.mark.parametrize("command, cfg, statistic", [

@@ -339,6 +339,13 @@ def _reference_unfold(bg, px, py, dx, dy, guard, tau, comp):
     return cellx, celly, overflow
 
 
+def _reference_search(bg, px, py, dx, dy, guard):
+    """The torus search as the frozen walk did it: own cell, then the rest."""
+    tau, comp = bg.nearest(px, py, dx, dy, 0.0, 0.0, guard)
+    ox, oy, overflow = _reference_unfold(bg, px, py, dx, dy, guard, tau, comp)
+    return tau, comp, ox, oy, np.flatnonzero(overflow)
+
+
 def _block_ends(blocks):
     """Cells tested once each of the walk's first `blocks` blocks is done."""
     ends, tested, size = [], 0, dynamics._BLOCK_FIRST
@@ -349,8 +356,9 @@ def _block_ends(blocks):
     return ends
 
 
-# a limit of L tests L - 1 cells, so L = end + 1 stops right at a block's
-# end; seven blocks (4 cells doubling to 128) reach two blocks at the cap
+# a limit of L tests L cells, the own one included, so L = end stops right
+# at a block's end and L = end + 1, end + 2 open one more block; seven
+# blocks (4 cells doubling to 128) reach two blocks at the cap
 UNFOLD_LIMITS = sorted({1, 2, 3, 1000} | {end + 1 + d for end in _block_ends(7)
                                           for d in (-1, 0, 1)})
 
@@ -363,7 +371,7 @@ def _same_bytes(a, b):
 def test_block_steps_follow_the_one_cell_walk():
     """_dda_block's steps and crossing times are the one-cell walk's, ties
     (a y step wins) and axis-parallel rays (no crossing on one axis)
-    included."""
+    included; row 0 is the current cell."""
     rng = np.random.default_rng(2)
     tmaxx = np.concatenate([[0.5, 0.5, 0.25, np.inf, 0.3], rng.random(20)])
     tmaxy = np.concatenate([[0.5, 0.75, 0.25, 0.4, np.inf], rng.random(20)])
@@ -378,9 +386,10 @@ def test_block_steps_follow_the_one_cell_walk():
                 cx, tx = cx + 1, tx + tdx[lane]
             else:
                 cy, ty = cy + 1, ty + tdy[lane]
-            assert (nx[j, lane], ny[j, lane]) == (cx, cy), (lane, j)
+            assert (nx[j + 1, lane], ny[j + 1, lane]) == (cx, cy), (lane, j)
             assert xs[cx, lane] == tx and ys[cy, lane] == ty, (lane, j)
-    assert list(nx[:4, 0]) == [0, 1, 1, 2]      # tie, x, tie, x
+    assert list(nx[1:5, 0]) == [0, 1, 1, 2]     # tie, x, tie, x
+    assert not nx[0].any() and not ny[0].any()
 
 
 @pytest.mark.parametrize("name", ["sinai", "two_scatterer", "thin_sinai"])
@@ -395,12 +404,29 @@ def test_block_walk_matches_reference_walk(name, monkeypatch):
         monkeypatch.setattr(dynamics, "UNFOLD_MAX_CELLS", limit)
         block = step_batch(table, s, phi)
         with monkeypatch.context() as m:
-            m.setattr(dynamics, "_unfold", _reference_unfold)
+            m.setattr(dynamics, "_unfold", _reference_search)
             reference = step_batch(table, s, phi)
         assert _same_bytes(block, reference), limit
         if np.any(block[4] == FLAG_UNFOLD):
             overflowed.add(limit)
     assert {1, 2, 3} <= overflowed
+
+
+@pytest.mark.parametrize("name", ["sinai", "two_scatterer", "stadium"])
+def test_short_flights_take_one_nearest_call(name, monkeypatch):
+    """A step makes one nearest call when the torus walk's first block, own
+    cell included, holds every lane's hit, as on a bounded table: a flight
+    under 1 crosses at most one cell edge per axis, so meets at most 3
+    cells."""
+    table = make(name)
+    s, phi = SrbSampler(table, 1, 1).sample(2000)
+    short = step_batch(table, s, phi)[2] < 1.0
+    geometry, calls = type(table._bg), []
+    nearest = geometry.nearest
+    monkeypatch.setattr(geometry, "nearest",
+                        lambda *a: calls.append(a) or nearest(*a))
+    assert np.all(step_batch(table, s[short], phi[short])[4] == FLAG_OK)
+    assert short.sum() > 100 and len(calls) == 1
 
 
 @pytest.mark.parametrize("table_name", ["sinai", "two_scatterer"])

@@ -5,6 +5,7 @@ from openbilliards import build_table
 from openbilliards.dynamics import PhasePoint, step_batch
 from openbilliards.geometry import regular_flower_components
 from openbilliards.inducing import (
+    BaseReturns,
     ExtendedPhasePoint,
     base_mask,
     base_returns,
@@ -155,6 +156,17 @@ def test_tail_deterministic(stadium):
     b = base_returns(stadium, 5000, cap=1000, seed=6).tail()
     assert np.array_equal(a.survival, b.survival)
     assert np.array_equal(a.count, b.count)
+
+
+def test_tail_tabulates_only_measured_returns():
+    none = np.zeros(0, dtype=np.int64)
+    rep = BaseReturns(none, none.astype(bool), none.astype(bool), 0.0).tail()
+    assert rep.n.size == rep.survival.size == rep.count.size == 0
+    assert rep.n_base == 0 and np.isnan(rep.mean_R)
+    # lanes past the cap are data: they survive past n = 1
+    capped = BaseReturns(np.zeros(2, dtype=np.int64), np.ones(2, dtype=bool),
+                         np.zeros(2, dtype=bool), 0.5).tail()
+    assert capped.n.tolist() == [1] and capped.survival.tolist() == [1.0]
 
 
 def test_sample_base_points_members(stadium):

@@ -135,6 +135,13 @@ def test_survival_curve_excludes_censored():
     assert sc.excluded_fraction == pytest.approx(0.25)
 
 
+def test_survival_curve_of_no_eligible_orbit_is_nan():
+    data = synth(0.1, 2, 4.0, [], censor_step=[3, 5])
+    sc = survival_curve(data, np.array([0.0, 1.0]))
+    assert np.isnan(sc.empirical).all() and sc.n_orbits == 0
+    assert sc.excluded_fraction == 1.0
+
+
 def test_survival_curve_grid_validation():
     data = synth(0.1, 2, 4.0, [])
     with pytest.raises(ValueError, match="horizon"):
@@ -201,6 +208,18 @@ def test_counts_correlation_matrix():
     assert rep.correlations.shape == (2, 2)
     assert rep.correlations[0, 0] == pytest.approx(1.0)
     assert abs(rep.correlations[0, 1]) <= 1.0
+
+
+def test_counts_of_too_few_orbits_are_nan():
+    iv = [(0.0, 1.0), (1.0, 2.0)]
+    one = count_statistics(synth(0.1, 1, 4.0, [(0, 5), (0, 15)]), iv)
+    assert one.counts.tolist() == [[1, 1]] and one.means.tolist() == [1, 1]
+    assert np.isfinite(one.tv).all() and np.isnan(one.correlations).all()
+    # both orbits censored before t = 2
+    none = count_statistics(synth(0.01, 2, 3.0, [], censor_step=[3, 5]), iv)
+    assert none.counts.shape == (0, 2) and none.excluded_fraction == 1.0
+    for stat in (none.tv, none.means, none.correlations):
+        assert np.isnan(stat).all()
 
 
 def test_short_returns_reduction():
