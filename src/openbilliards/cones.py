@@ -5,6 +5,9 @@ dphi/dq.  On dispersing or flat components the unstable cone is [K, +inf]
 (vertical included); on focusing arcs it is [K, 0].  Stable cones are the
 time-reversal mirrors, so the stable invariance check reuses the forward
 scan at angle-reflected points instead of inverting the collision solver.
+The scan maps one row of start vectors (one per point) at a time and keeps
+running tallies, the violation count, the minimum margin and the pair
+count; each is exact, so the report equals one taken over all rows at once.
 """
 
 from __future__ import annotations
@@ -74,27 +77,25 @@ class ConeScanReport:
         return self.n_violations == 0 and self.transversality_violations == 0
 
 
-def _start_slopes(K, n_vectors):
-    """Deterministic fan of slopes per point: both boundaries + interior."""
-    slopes = np.empty((n_vectors, K.size))
-    vertical = np.zeros((n_vectors, K.size), dtype=bool)
+def _start_vector(K, j, n_vectors):
+    """Row j of a deterministic fan of n_vectors tangent vectors (dq, dphi)
+    per point: the lower cone edge, interior slopes, then the upper edge,
+    vertical where it is inf."""
     lo, hi = _cone_edges(K)
-    slopes[0] = lo
-    if n_vectors > 1:              # the top edge; vertical when hi is inf
-        vertical[-1] = np.isinf(hi)
-        slopes[-1] = hi
-    for j in range(1, n_vectors - 1):
-        t = j / (n_vectors - 1)
-        # dispersing/flat: sweep [K, inf) via a tangent map; focusing: [K, 0]
-        disp = K + math.tan(t * math.pi / 2)
-        foc = K * (1.0 - t)
-        slopes[j] = np.where(K < 0, foc, disp)
-    return slopes, vertical
+    if j == 0:
+        return 1.0, lo
+    if j == n_vectors - 1:
+        vertical = np.isinf(hi)
+        return np.where(vertical, 0.0, 1.0), np.where(vertical, 1.0, hi)
+    t = j / (n_vectors - 1)
+    # dispersing/flat: sweep [K, inf) via a tangent map; focusing: [K, 0]
+    return 1.0, np.where(K < 0, K * (1.0 - t), K + math.tan(t * math.pi / 2))
 
 
 def _scan_once(table, s, phi, n_vectors):
     """Forward unstable-cone invariance over one point ensemble.
 
+    Tallies one vector row at a time, so no array holds n_vectors rows.
     Returns the tallies and the uncensored images (s1, phi1) of the points.
     """
     bg = table._bg
@@ -106,29 +107,29 @@ def _scan_once(table, s, phi, n_vectors):
     # censored, so on uncensored lanes the hit component's K is K at s1
     K1 = bg.K[comp[ok]]
     lo1, hi1 = _cone_edges(K1)
+    open1 = np.isinf(hi1)
 
-    slopes, vertical = _start_slopes(K0, n_vectors)
-    dq = np.where(vertical, 0.0, 1.0)
-    dphi = np.where(vertical, 1.0, slopes)
-    dq1 = M[:, 0, 0] * dq + M[:, 0, 1] * dphi
-    dphi1 = M[:, 1, 0] * dq + M[:, 1, 1] * dphi
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sl1 = dphi1 / dq1
-    vert1 = dq1 == 0.0
-    # margin from each cone edge; vertical images belong only to [*, inf]
-    m_lo = np.where(vert1, np.where(np.isinf(hi1), np.inf, -np.inf),
-                    sl1 - lo1)
-    m_hi = np.where(np.isinf(hi1), np.inf,
-                    np.where(vert1, -np.inf, hi1 - sl1))
-    margin = np.minimum(m_lo, m_hi)
-    scale = np.maximum(1.0, np.abs(np.where(vert1, 0.0, sl1)))
-    scale = np.maximum(scale, np.abs(lo1))
-    bad = margin < -1e-12 * scale   # the slope tolerance, scaled
+    violations, worst = 0, math.inf
+    for j in range(n_vectors):
+        dq, dphi = _start_vector(K0, j, n_vectors)
+        dq1 = M[:, 0, 0] * dq + M[:, 0, 1] * dphi
+        dphi1 = M[:, 1, 0] * dq + M[:, 1, 1] * dphi
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sl1 = dphi1 / dq1
+        vert1 = dq1 == 0.0
+        # margin from each cone edge; vertical images belong only to [*, inf]
+        m_lo = np.where(vert1, np.where(open1, np.inf, -np.inf), sl1 - lo1)
+        m_hi = np.where(open1, np.inf, np.where(vert1, -np.inf, hi1 - sl1))
+        margin = np.minimum(m_lo, m_hi)
+        scale = np.maximum(1.0, np.abs(np.where(vert1, 0.0, sl1)))
+        scale = np.maximum(scale, np.abs(lo1))
+        # the slope tolerance, scaled
+        violations += int(np.count_nonzero(margin < -1e-12 * scale))
+        worst = np.minimum(worst, margin.min(initial=math.inf))
 
     # vertical fiber must land strictly inside the image cone
     vsl = K1 + np.cos(phi1) / tau
-    vm = np.minimum(vsl - lo1, np.where(np.isinf(hi1), np.inf, hi1 - vsl))
+    vm = np.minimum(vsl - lo1, np.where(open1, np.inf, hi1 - vsl))
 
     # interiors of C^u and its stable mirror may never overlap
     s_lo, s_hi = _cone_edges(K1, "stable")
@@ -137,9 +138,9 @@ def _scan_once(table, s, phi, n_vectors):
     trans_bad = int(np.count_nonzero(o_lo < o_hi))
 
     return {
-        "pairs": int(margin.size),
-        "violations": int(np.count_nonzero(bad)),
-        "worst": float(margin.min()) if margin.size else math.inf,
+        "pairs": n_vectors * int(tau.size),
+        "violations": violations,
+        "worst": float(worst),
         "vertical_min": float(vm.min()) if vm.size else math.inf,
         "trans": int(trans_bad),
         "censored": int((~ok).sum()),

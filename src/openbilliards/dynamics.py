@@ -15,7 +15,11 @@ cell offset (0, 0) on a bounded table; on the torus, at each cell a ray
 enters, its own first) and impact maps the hit back to arclength and normal.
 The torus walk goes in blocks of cells, one nearest call per block for
 every lane still walking, so a batch with one corridor flight pays numpy
-dispatch per block rather than per cell of that flight.
+dispatch per block rather than per cell of that flight.  A call wider than
+_CHUNK lanes steps chunk by chunk into preallocated outputs, so the working
+set of a wide batch is its inputs, its outputs and one chunk's temporaries;
+every lane's arithmetic is its own, so the chunks are bit-identical to one
+whole-batch step.
 """
 
 from __future__ import annotations
@@ -37,6 +41,8 @@ UNFOLD_MAX_CELLS = 1000
 # then blocks twice as long, up to _BLOCK_CAP cells
 _BLOCK_FIRST = 4
 _BLOCK_CAP = 128
+# step_batch steps wider calls this many lanes at a time
+_CHUNK = 2**15
 
 FLAG_OK = 0
 FLAG_GRAZING = 1
@@ -173,11 +179,25 @@ def step_batch(table, s, phi):
     Returns (s1, phi1, tau, comp1, flag) arrays.  Lanes whose next impact is
     censored (grazing, junction hit, unfolding overflow, geometry leak) carry
     the matching flag; their outputs are best-effort and should not be
-    iterated further.
+    iterated further.  A call wider than _CHUNK lanes fills its outputs
+    _CHUNK lanes at a time, bit for bit as one whole-batch step would.
     """
-    bg = table._bg
     s = np.asarray(s, dtype=float)
     phi = np.asarray(phi, dtype=float)
+    if s.size <= _CHUNK:
+        return _step(table, s, phi)
+    out = (np.empty(s.size), np.empty(s.size), np.empty(s.size),
+           np.empty(s.size, dtype=np.int64), np.empty(s.size, dtype=np.int8))
+    for i in range(0, s.size, _CHUNK):
+        chunk = slice(i, i + _CHUNK)
+        for o, part in zip(out, _step(table, s[chunk], phi[chunk])):
+            o[chunk] = part
+    return out
+
+
+def _step(table, s, phi):
+    """step_batch on one chunk of float arrays s, phi."""
+    bg = table._bg
     loc = locate_batch(table, s)
     px, py = loc["x"], loc["y"]
     c, sn = np.cos(phi), np.sin(phi)

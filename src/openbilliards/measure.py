@@ -58,8 +58,10 @@ def ks_statistic(sorted_values, cdf_values):
     if n == 0:
         raise ValueError("empty sample")
     ranks = np.arange(1, n + 1) / n
-    return float(np.maximum(ranks - cdf_values,
-                            cdf_values - (ranks - 1.0 / n)).max())
+    above = ranks - cdf_values
+    ranks -= 1.0 / n            # the empirical CDF just below each point
+    below = np.subtract(cdf_values, ranks, out=ranks)
+    return float(np.maximum(above, below, out=above).max())
 
 
 @dataclass(frozen=True)
@@ -81,12 +83,15 @@ def invariance_defect(table, n, seed, phi_mode="cosine"):
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    s, phi = SrbSampler(table, seed, phi_mode=phi_mode).sample(n)
-    s1, phi1, _, _, flag = step_batch(table, s, phi)
-    ok = flag == FLAG_OK
-    phi_sorted = np.sort(phi1[ok])
+    step = step_batch(table,
+                      *SrbSampler(table, seed, phi_mode=phi_mode).sample(n))
+    ok = step[4] == FLAG_OK
+    s_sorted, phi_sorted = step[0][ok], step[1][ok]
+    del step    # only the kept lanes stay alive, each sorted in place
+    phi_sorted.sort()
     ks_phi = ks_statistic(phi_sorted, (1.0 + np.sin(phi_sorted)) / 2.0)
-    s_sorted = np.sort(s1[ok])
+    del phi_sorted
+    s_sorted.sort()
     ks_s = ks_statistic(s_sorted, s_sorted / table.perimeter)
     return InvarianceReport(ks_phi=ks_phi, ks_s=ks_s, n=int(ok.sum()),
                             censored_fraction=1.0 - ok.mean())

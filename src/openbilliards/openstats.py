@@ -122,8 +122,9 @@ class HittingData:
         into the inducing base X (a hit at an entry belongs to the new
         block).  Only completed excursions count: the orbit must re-enter X
         after the hits.  For R = 1 classes every block is a single
-        collision, so the defect is exactly zero.  host_kind (the hole's
-        component kind) is echoed in the report.
+        collision, so the defect is exactly zero; with no complete
+        excursion holding a hit it is NaN.  host_kind (the hole's component
+        kind) is echoed in the report.
         """
         # group hits by (orbit, excursion id); an excursion is complete when
         # the orbit's final induced counter moved past it
@@ -132,9 +133,9 @@ class HittingData:
                           self.hit_induced[complete]], axis=1)
         _, sizes = np.unique(pairs, axis=0, return_counts=True)
         n_hit_exc, n_multi = int(sizes.size), int((sizes >= 2).sum())
-        return QuasiSectionReport(n_multi / max(n_hit_exc, 1), n_hit_exc,
-                                  n_multi, host_kind, self.mu,
-                                  self.censored_fraction)
+        defect = n_multi / n_hit_exc if n_hit_exc else math.nan
+        return QuasiSectionReport(defect, n_hit_exc, n_multi, host_kind,
+                                  self.mu, self.censored_fraction)
 
 
 def collect_hitting(table, hole, n_orbits, t_max, seed):

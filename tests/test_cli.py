@@ -425,6 +425,22 @@ def test_short_returns_without_a_hit_pair_are_null(tmp_path, capsys):
     assert "short_return" not in capsys.readouterr().err
 
 
+def test_quasi_section_without_an_excursion_is_null(tmp_path, capsys):
+    cfg = {**NO_ELIGIBLE_RUN, "checks": {"quasi_section": True},
+           "budgets": {"quasi_orbits": 1}}
+    argv = ["run", write_cfg(tmp_path / "c.yaml", cfg),
+            "--out", str(tmp_path / "o")]
+    assert main(argv) == 0
+    rdir = tmp_path / "o" / "r_0.0001"
+    assert read_json(rdir / "diagnostics.json")["quasi_section"] \
+        == {"defect": None, "host_kind": "arc", "n_excursions": 0}
+    entry = read_json(tmp_path / "o" / "summary.json")["per_radius"]
+    assert entry["r_0.0001"]["quasi_section_defect"] is None
+    capsys.readouterr()
+    main(argv + ["--enforce"])      # the check has no threshold
+    assert "quasi_section" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_survival_of_no_eligible_orbit_is_empty(seed, tmp_path, capsys):
     out = tmp_path / "o"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from openbilliards import FLAG_GRAZING, build_table, dynamics
 from openbilliards.cones import (
     Cone,
+    ConeScanReport,
     cone_at,
     cone_invariance_scan,
     in_cone,
@@ -109,15 +111,51 @@ def test_scan_semi_dispersing_clean():
     assert rep.vertical_min_margin > 0.0
 
 
+def broken_focusing():
+    return build_table("flower", components=cut_stadium_components(2.0, 0.75))
+
+
 def test_scan_flags_broken_focusing_geometry():
     # flats only 1.5 apart between unit caps: the cap circles overlap the
     # opposite flat, so images of unstable vectors leave the cone family
-    table = build_table("flower",
-                        components=cut_stadium_components(2.0, 0.75))
-    rep = cone_invariance_scan(table, 3000, 5, seed=9)
+    rep = cone_invariance_scan(broken_focusing(), 3000, 5, seed=9)
     assert rep.n_violations > 0
     assert not rep.clean
     assert rep.worst_margin < -1.0
+
+
+# every field, recorded from the scan that built whole (n_vectors, n) arrays
+PINNED_SCANS = {
+    "squash": (SCAN_TABLES["squash"], 40_000, 10, 1, ConeScanReport(
+        n_pairs=800000, n_violations=0, worst_margin=-2.2316570770929294e-14,
+        vertical_min_margin=0.0050315671106656405,
+        transversality_violations=0, censored_fraction=0.0)),
+    "broken_focusing": (broken_focusing, 3000, 5, 9, ConeScanReport(
+        n_pairs=30000, n_violations=477, worst_margin=-446.30357423675395,
+        vertical_min_margin=-27.578722733157775,
+        transversality_violations=0, censored_fraction=0.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SCANS))
+def test_scan_report_is_pinned(name):
+    make, n_points, n_vectors, seed, pinned = PINNED_SCANS[name]
+    assert cone_invariance_scan(make(), n_points, n_vectors, seed) == pinned
+
+
+def test_scan_working_set_per_point():
+    """The scan tallies one vector row at a time: its traced peak stays
+    under 500 bytes per point at 10 vectors (the whole-array scan held
+    about 1040)."""
+    table = SCAN_TABLES["squash"]()
+    n_points = 200_000
+    tracemalloc.start()
+    try:
+        cone_invariance_scan(table, n_points, 10, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n_points < 500, peak / n_points
 
 
 def test_scan_deterministic(sinai):

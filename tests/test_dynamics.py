@@ -7,6 +7,7 @@ headroom; component indices must match exactly.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,6 +55,8 @@ def make(name):
     if name == "two_scatterer":
         return build_table("sinai_torus", centers=[(0.3, 0.3), (0.75, 0.7)],
                            radii=[0.15, 0.1])
+    if name == "open_sinai":
+        return build_table("sinai_torus", centers=[(0.5, 0.5)], radii=[0.05])
     if name == "thin_sinai":
         return build_table("sinai_torus", centers=[(0.5, 0.5)], radii=[0.01])
     raise KeyError(name)
@@ -296,6 +299,51 @@ def test_batch_split_is_bit_identical():
     for k in range(5):
         merged = np.concatenate([p[k] for p in parts])
         assert np.array_equal(whole[k], merged)
+
+
+@pytest.mark.parametrize("name", ["squash", "open_sinai"])
+def test_chunked_step_is_bit_identical(name, monkeypatch):
+    """A call wider than _CHUNK steps in chunks; it equals, byte for byte,
+    narrower calls laid end to end, flagged lanes included."""
+    monkeypatch.setattr(dynamics, "UNFOLD_MAX_CELLS", 40)
+    table = make(name)
+    n = 2 * dynamics._CHUNK + 13
+    s, phi = SrbSampler(table, 1).sample(n)
+    phi[::997] = math.pi / 2 - 1e-9     # tangent take-offs: grazing lanes
+    whole = step_batch(table, s, phi)
+    width = dynamics._CHUNK // 3
+    parts = [step_batch(table, s[i:i + width], phi[i:i + width])
+             for i in range(0, n, width)]
+    assert _same_bytes(whole, [np.concatenate(p) for p in zip(*parts)])
+    assert all(a.shape == (n,) for a in whole)
+    flags = set(whole[4].tolist())
+    assert FLAG_GRAZING in flags
+    assert (FLAG_UNFOLD in flags) == table.lattice
+    for k in (0, 1):
+        few = step_batch(table, s[:k], phi[:k])
+        assert [a.shape for a in few] == [(k,)] * 5
+        assert _same_bytes(few, [a[:k] for a in whole])
+
+
+def _excess_peak(table, n):
+    """Traced peak of one n-lane step_batch call beyond its outputs."""
+    s, phi = SrbSampler(table, 1).sample(n)
+    tracemalloc.start()
+    try:
+        out = step_batch(table, s, phi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - sum(a.nbytes for a in out)
+
+
+def test_step_working_set_does_not_grow_with_width():
+    """Beyond its outputs, a step holds one chunk's temporaries: as much at
+    8 chunks as at 2 (a whole-batch step holds about 4 times more)."""
+    table = make("squash")
+    two = _excess_peak(table, 2 * dynamics._CHUNK)
+    eight = _excess_peak(table, 8 * dynamics._CHUNK)
+    assert eight <= 1.25 * two, (two, eight)
 
 
 def _reference_unfold(bg, px, py, dx, dy, guard, tau, comp):
