@@ -37,7 +37,6 @@ from .openstats import (
     CHECK_T_MAX,
     collect_hitting_family,
     count_statistics,
-    ks_exp1,
     short_return_orbits,
     survival_curve,
 )
@@ -302,10 +301,6 @@ def cmd_run(args):
             tag = f"r_{hole.radius:g}"
             rdir = out / tag
             rdir.mkdir(exist_ok=True)
-            fh = data.first_hits()[~data.censored_before_first_hit()]
-            fh = fh[np.isfinite(fh)]
-            ks = ks_exp1(fh) if fh.size else None
-
             grid = np.linspace(0.0, min(5.0, t_max), 101)
             sc = survival_curve(data, grid)
             _write_csv(rdir / "hits.csv",
@@ -317,10 +312,10 @@ def cmd_run(args):
                        (map(_fmt, row) for row in
                         zip(sc.t, sc.empirical, sc.exponential)))
             entry = {
-                "mu": hole.measure, "ks_exp1": ks,
-                # the grid stops at t_max: no S(1) below t_max = 1
-                "survival_at_1": float(sc.empirical[np.argmin(
-                    np.abs(grid - 1.0))]) if t_max >= 1.0 else None,
+                "mu": hole.measure, "ks_exp1": data.window_ks(),
+                # a survival curve stops at t_max: no S(1) below t_max = 1
+                "survival_at_1": float(survival_curve(data, [1.0])
+                                       .empirical[0]) if t_max >= 1.0 else None,
                 "censored_fraction": data.censored_fraction,
                 "excluded_before_first_hit": sc.excluded_fraction,
                 "n_orbits": n_orbits,

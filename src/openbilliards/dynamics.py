@@ -80,10 +80,6 @@ class CollisionResult:
     component: int
     flag: int
 
-    @property
-    def flag_name(self):
-        return FLAG_NAMES[self.flag]
-
 
 def _crossings(b, tmax, tdelta):
     """One axis's next b + 1 cell crossing times, tmax, tmax + tdelta, ...:
@@ -201,8 +197,9 @@ def _step(table, s, phi):
     loc = locate_batch(table, s)
     px, py = loc["x"], loc["y"]
     c, sn = np.cos(phi), np.sin(phi)
-    dx = c * loc["nx"] + sn * loc["tx"]
-    dy = c * loc["ny"] + sn * loc["ty"]
+    # the traversal tangent is the normal rotated -90 degrees: (ny, -nx)
+    dx = c * loc["nx"] + sn * loc["ny"]
+    dy = c * loc["ny"] - sn * loc["nx"]
     del loc, c, sn  # only the rays stay alive through the search
     guard = GUARD_FACTOR * table.diameter
 
@@ -279,7 +276,7 @@ def billiard_map(table, x):
     """Scalar collision map; raises SingularOrbit on censored impacts."""
     res = next_collision(table, x)
     if res.flag != FLAG_OK:
-        raise SingularOrbit(f"censored collision: {res.flag_name}")
+        raise SingularOrbit(f"censored collision: {FLAG_NAMES[res.flag]}")
     return res.point
 
 
@@ -348,14 +345,13 @@ class OrbitRecord:
 
     n_steps: int
     hits: np.ndarray
-    status: str               # completed | censored_singular | censored_horizon
-    flag: int
+    flag: int                 # FLAG_OK, or the flag that ended the orbit
     final: PhasePoint
     components: np.ndarray    # component hit at collisions 1 .. n_steps
 
     @property
     def censored(self):
-        return self.status != "completed"
+        return self.flag != FLAG_OK
 
 
 def orbit(table, x0, max_steps, hole=None):
@@ -376,13 +372,10 @@ def orbit(table, x0, max_steps, hole=None):
 
     censor_step, censor_kind, _ = march(table, last[0], last[1], max_steps,
                                         observe)
-    flag = int(censor_kind[0])
     return OrbitRecord(
         n_steps=int(censor_step[0]) - 1,
         hits=np.asarray(hits, dtype=np.int64),
-        status={FLAG_OK: "completed", FLAG_UNFOLD: "censored_horizon"}.get(
-            flag, "censored_singular"),
-        flag=flag,
+        flag=int(censor_kind[0]),
         final=PhasePoint(float(last[0][0]), float(last[1][0])),
         components=np.asarray(comps, dtype=np.int64),
     )

@@ -149,20 +149,21 @@ class Violation:
 
 @dataclass(frozen=True)
 class Table:
-    """Closed billiard boundary plus class metadata.
-
-    lattice=True marks a unit-torus table: the listed scatterer loops repeat
-    on the integer lattice and free flights unfold through periodic images.
-    """
+    """Closed billiard boundary plus class metadata."""
 
     components: tuple
     class_tag: str
-    lattice: bool = False
 
     def __post_init__(self):
         if not self.components:
             raise GeometryError("table needs at least one component")
         self.chains  # a boundary that does not close fails here
+
+    @property
+    def lattice(self):
+        """A unit-torus table: the listed scatterer loops repeat on the
+        integer lattice and free flights unfold through periodic images."""
+        return self.class_tag == "sinai_torus"
 
     @cached_property
     def offsets(self):
@@ -330,11 +331,10 @@ class _BatchGeometry:
         return (self.tdir[comp] * (theta - self.theta_ref[comp])) % TWO_PI
 
     def _on_arc(self, j, px, py, dx, dy, cx, cy, r, below):
-        """r where the ray meets arc j (centre (cx, cy)) inside its angular
+        """r where the ray meets arc j (centre (cx, cy), scalars: only loops,
+        which skip this test, take per-lane cell offsets) inside its angular
         span, inf elsewhere; only lanes with r < below are tested."""
         sel = np.flatnonzero(r < below)
-        if np.ndim(cx):
-            cx, cy = cx[sel], cy[sel]
         th = np.arctan2(py[sel] + r[sel] * dy[sel] - cy,
                         px[sel] + r[sel] * dx[sel] - cx)
         raw = self._turn(j, th)
@@ -428,26 +428,26 @@ class _BatchGeometry:
 def locate_batch(table, s):
     """Vectorized boundary lookup.
 
-    Returns a dict with component index, position, inward normal,
-    traversal tangent and curvature.
+    Returns a dict with component index, position, inward normal and
+    curvature; the traversal tangent is the normal rotated -90 degrees,
+    (ny, -nx).
     """
     bg = table._bg
     s = np.asarray(s, dtype=float) % bg.perimeter
     idx = bg.component(s)
     x, y, nx, ny = bg.frame(idx, np.clip(s - bg.s_off[idx], 0.0, bg.length[idx]))
-    # tangent = inward normal rotated -90 deg
     return {"component": idx, "x": x, "y": y, "nx": nx, "ny": ny,
-            "tx": ny, "ty": -nx, "K": bg.K[idx]}
+            "K": bg.K[idx]}
 
 
 @dataclass(frozen=True)
 class BoundaryPoint:
-    """locate() result: boundary data at arclength s."""
+    """locate() result: boundary data at arclength s.  The traversal tangent
+    is the inward normal rotated -90 degrees."""
 
     s: float
     position: tuple
     normal: tuple
-    tangent: tuple
     curvature: float
     component: int
     corner: bool
@@ -461,7 +461,6 @@ def locate(table, s):
         s=s,
         position=(float(out["x"][0]), float(out["y"][0])),
         normal=(float(out["nx"][0]), float(out["ny"][0])),
-        tangent=(float(out["tx"][0]), float(out["ty"][0])),
         curvature=float(out["K"][0]),
         component=int(out["component"][0]),
         corner=bool(table.near_junction(s)),
@@ -498,7 +497,7 @@ def _sinai_like(centers, radii, bounds=None):
 
 def _build_sinai_torus(centers, radii):
     comps = _sinai_like(centers, radii, bounds=(1.0, 1.0))
-    return Table(tuple(comps), "sinai_torus", lattice=True)
+    return Table(tuple(comps), "sinai_torus")
 
 
 def _build_stadium(flat_length):

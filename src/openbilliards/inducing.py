@@ -117,8 +117,7 @@ class TailReport:
     n: np.ndarray          # 1..n_max
     survival: np.ndarray   # empirical mu_X(R > n)
     count: np.ndarray      # histogram of R == n
-    mean_R: float
-    n_base: int
+    n_base: int            # flag-free lanes, capped ones included
     censored_fraction: float   # flag-censored lanes (excluded)
     cap_fraction: float        # lanes still out after cap (kept in survival)
 
@@ -128,8 +127,8 @@ class KacReport:
     defect: float
     mu_x: float
     mean_R: float
-    n_base: int
-    censored_fraction: float
+    n_base: int                # lanes that returned: capped ones excluded
+    censored_fraction: float   # capped or flag-censored lanes
 
 
 @dataclass(frozen=True)
@@ -156,7 +155,6 @@ class BaseReturns:
             n=np.arange(1, n_max + 1),
             survival=survival,
             count=count,
-            mean_R=float(R_ok.mean()) if R_ok.size else float("nan"),
             n_base=n_valid,
             censored_fraction=float(flagged.mean()) if R.size else 0.0,
             cap_fraction=float(cap_hit.mean()) if R.size else 0.0,

@@ -4,10 +4,10 @@ A hole of boundary measure mu turns each orbit into a point process on the
 normalized time axis: a hit at collision i contributes the point i * mu.
 collect_hitting_family collects those processes over SRB-sampled orbits for
 several (hole, n_orbits, t_max) requests in one march.  Every statistic is a
-reduction of the collected HittingData: the first-hitting survival law, KS
-distance to Exp(1), interval counts against Poisson (total variation),
-short-return fractions in induced time and the quasi-section defect of hole
-excursions.  Orbit i always owns sampler draws 2i, 2i+1, so results are
+reduction of the collected HittingData: the first-hitting survival law and
+its KS distance to Exp(1), both read from the one first-hit sample, interval
+counts against Poisson (total variation), short-return fractions in induced
+time and the quasi-section defect of hole excursions.  Orbit i always owns sampler draws 2i, 2i+1, so results are
 bit-identical no matter how the work would be scheduled.
 """
 
@@ -72,30 +72,43 @@ class HittingData:
     def normalized_times(self):
         return self.hit_index * self.mu
 
-    def series(self, orbit):
-        """Normalized hit times of one orbit (strictly increasing)."""
-        sel = self.hit_orbit == orbit
-        return self.hit_index[sel] * self.mu
-
-    def first_hits(self):
-        """Per-orbit first normalized hit time; +inf when the orbit never
-        hits within the horizon."""
-        fh = np.full(self.n_orbits, np.inf)
-        if self.hit_orbit.size:
-            orb, first_pos = np.unique(self.hit_orbit, return_index=True)
-            fh[orb] = self.hit_index[first_pos] * self.mu
-        return fh
-
     @property
     def censored_fraction(self):
         """Fraction of orbits censored within the horizon."""
         return float((self.censor_step <= self.horizon).mean())
 
-    def censored_before_first_hit(self):
-        """Orbits whose record ends (censoring) before any hit occurred."""
-        has_hit = np.zeros(self.n_orbits, dtype=bool)
-        has_hit[self.hit_orbit] = True
-        return ~has_hit & (self.censor_step <= self.horizon)
+    def first_hit_sample(self):
+        """The first-hit sample that every first-hit statistic reads.
+
+        Returns (times, excluded_fraction): in orbit order, the first
+        normalized hit time of each eligible orbit, +inf for one that
+        survives the horizon without a hit; and the share of orbits left
+        out because their record ended (censoring) before any hit.
+        """
+        fh = np.full(self.n_orbits, np.inf)
+        orb, first = np.unique(self.hit_orbit, return_index=True)
+        fh[orb] = self.hit_index[first] * self.mu
+        excluded = np.isinf(fh) & (self.censor_step <= self.horizon)
+        return fh[~excluded], float(excluded.mean())
+
+    def window_ks(self):
+        """KS distance of the first-hit sample to Exp(1) on the observed
+        window [0, horizon * mu].
+
+        Survivors count in the sample size, and the sup runs up to the end
+        of the window, past which no hit is observed; with no survivor this
+        is ks_exp1 of the sample.  NaN when no eligible orbit hit the hole.
+        """
+        fh, _ = self.first_hit_sample()
+        hit = np.sort(fh[np.isfinite(fh)])
+        if not hit.size:
+            return math.nan
+        cdf = 1.0 - np.exp(-hit)
+        ranks = np.arange(1, hit.size + 1) / fh.size
+        # past the last hit the empirical CDF stays flat to the window's end
+        tail = 1.0 - math.exp(-self.horizon * self.mu) - hit.size / fh.size
+        return max(float((ranks - cdf).max()),
+                   float((cdf - (ranks - 1.0 / fh.size)).max()), tail)
 
     def short_returns(self, epsilon=0.1):
         """Fraction of hole hits whose next hit comes within p induced steps.
@@ -224,7 +237,8 @@ class SurvivalCurve:
 
 
 def survival_curve(data, t_grid):
-    """Empirical P(first normalized hit > t) next to e^(-t).
+    """Empirical P(first normalized hit > t) next to e^(-t), over
+    data.first_hit_sample().
 
     Orbits censored before their first hit are excluded and tallied; orbits
     that never hit within the horizon survive past every grid point (the
@@ -233,16 +247,14 @@ def survival_curve(data, t_grid):
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size and t_grid.max() > data.t_max + 1e-12:
         raise ValueError("survival grid extends beyond the collected horizon")
-    excluded = data.censored_before_first_hit()
-    fh = data.first_hits()[~excluded]
+    fh, excluded = data.first_hit_sample()
     if fh.size:
         emp = (fh[None, :] > t_grid[:, None]).mean(axis=1)
     else:
         emp = np.full(t_grid.shape, np.nan)
     return SurvivalCurve(
         t=t_grid, empirical=emp, exponential=np.exp(-t_grid),
-        n_orbits=int(fh.size),
-        excluded_fraction=float(excluded.mean()),
+        n_orbits=int(fh.size), excluded_fraction=excluded,
     )
 
 

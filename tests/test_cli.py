@@ -6,10 +6,12 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
-from openbilliards import build_table, dynamics, inducing, make_hole, openstats
+from openbilliards import (build_table, cli, dynamics, inducing, make_hole,
+                           openstats)
 from openbilliards.cli import SCHEMA, main
 from openbilliards.geometry import cut_stadium_components
 
@@ -370,6 +372,35 @@ def test_run_survival_at_1_is_null_below_t_max_1(tmp_path):
     assert entry["r_0.5"]["survival_at_1"] is None
     survival = strict_csv(out / "r_0.5" / "survival.csv")
     assert survival[-1][0] == "0.5"
+
+
+def test_run_reads_ks_and_s1_from_the_first_hit_sample(tmp_path, monkeypatch):
+    """An exact Exp(1) first-hit sample cut off at t_max 3: orbit i first
+    hits at index ceil(q_i / mu), q_i the Exp(1) quantile at (i - 1/2) / N,
+    and the 50 orbits with q_i > 3 never hit.  `run` tests it against Exp(1)
+    on the observed window, survivors counted, and reads S at t = 1."""
+    n, mu, t_max = 1000, 1e-4, 3.0
+    horizon = math.ceil(t_max / mu)
+    index = np.ceil(-np.log(1.0 - (np.arange(1, n + 1) - 0.5) / n) / mu)
+    index = index.astype(np.int64)
+    hit = index <= horizon
+    assert n - hit.sum() == 50
+    data = openstats.HittingData(
+        mu=mu, n_orbits=n, horizon=horizon, t_max=t_max, seed=1,
+        hit_orbit=np.flatnonzero(hit), hit_index=index[hit],
+        censor_step=np.full(n, horizon + 1),
+        censor_kind=np.zeros(n, dtype=np.int8), hit_induced=index[hit],
+        final_induced=np.full(n, horizon))
+    monkeypatch.setattr(cli, "collect_hitting_family", lambda *args: [data])
+    cfg = {"version": 1, "table": STADIUM,
+           "hole": {"center_s": 1.0, "radii": [0.05]},
+           "run": {"seed": 1, "n_orbits": n, "t_max": t_max}}
+    out = tmp_path / "o"
+    assert main(["run", write_cfg(tmp_path / "c.yaml", cfg),
+                 "--out", str(out)]) == 0
+    entry = read_json(out / "summary.json")["per_radius"]["r_0.05"]
+    assert entry["ks_exp1"] <= 1 / n
+    assert abs(entry["survival_at_1"] - math.exp(-1.0)) <= 1 / n
 
 
 STADIUM = {"class": "stadium", "flat_length": 2.0}

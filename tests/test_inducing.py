@@ -115,11 +115,12 @@ def test_kac_identity_small_defect(name, request):
 
 
 def test_tail_sinai_degenerate(sinai):
-    rep = base_returns(sinai, 5000, cap=50, seed=1).tail()
+    returns = base_returns(sinai, 5000, cap=50, seed=1)
+    rep = returns.tail()
     assert rep.n.tolist() == [1]
     assert rep.survival.tolist() == [0.0]
     assert rep.count[0] == rep.n_base
-    assert rep.mean_R == 1.0
+    assert returns.kac().mean_R == 1.0
     assert rep.cap_fraction == 0.0
 
 
@@ -137,10 +138,11 @@ def test_tail_stadium_quadratic(stadium):
 
 
 def test_tail_semi_has_spread(semi):
-    rep = base_returns(semi, 20000, cap=5000, seed=4).tail()
+    returns = base_returns(semi, 20000, cap=5000, seed=4)
+    rep = returns.tail()
     assert rep.n.size > 3            # wall bounces stretch returns
     assert rep.survival[0] > 0.2
-    assert rep.mean_R > 1.5
+    assert returns.kac().mean_R > 1.5
 
 
 def test_tail_cap_accounting(stadium):
@@ -160,9 +162,10 @@ def test_tail_deterministic(stadium):
 
 def test_tail_tabulates_only_measured_returns():
     none = np.zeros(0, dtype=np.int64)
-    rep = BaseReturns(none, none.astype(bool), none.astype(bool), 0.0).tail()
+    returns = BaseReturns(none, none.astype(bool), none.astype(bool), 0.0)
+    rep = returns.tail()
     assert rep.n.size == rep.survival.size == rep.count.size == 0
-    assert rep.n_base == 0 and np.isnan(rep.mean_R)
+    assert rep.n_base == 0 and np.isnan(returns.kac().mean_R)
     # lanes past the cap are data: they survive past n = 1
     capped = BaseReturns(np.zeros(2, dtype=np.int64), np.ones(2, dtype=bool),
                          np.zeros(2, dtype=bool), 0.5).tail()

@@ -58,18 +58,21 @@ def test_normalized_time_scaling():
 
 def test_first_hits_and_series():
     data = synth(0.1, 3, 4.0, [(0, 3), (0, 7), (2, 20)])
-    fh = data.first_hits()
+    fh, excluded = data.first_hit_sample()
     assert fh[0] == pytest.approx(0.3)
     assert fh[1] == math.inf
     assert fh[2] == pytest.approx(2.0)
-    assert np.allclose(data.series(0), [0.3, 0.7])
-    assert data.series(1).size == 0
+    assert excluded == 0.0
+    assert np.allclose(data.normalized_times[data.hit_orbit == 0], [0.3, 0.7])
+    assert not np.any(data.hit_orbit == 1)
 
 
 def test_censored_before_first_hit():
     data = synth(0.1, 3, 4.0, [(0, 3)], censor_step=[41, 12, 41])
-    flags = data.censored_before_first_hit()
-    assert flags.tolist() == [False, True, False]
+    fh, excluded = data.first_hit_sample()
+    # orbit 1 is left out; orbit 2 survives the horizon
+    assert fh.tolist() == [pytest.approx(0.3), math.inf]
+    assert excluded == pytest.approx(1 / 3)
 
 
 def test_collect_hitting_basics(sinai):
@@ -116,6 +119,29 @@ def test_ks_exp1_point_masses():
     assert ks_exp1(np.zeros(5)) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         ks_exp1(np.array([]))
+
+
+def test_window_ks_without_survivors_is_ks_exp1():
+    # every eligible orbit hits within the horizon, so the window's end adds
+    # nothing; the orbit censored before any hit stays out of the sample
+    mu, t_max = 1 / 128, 2.0
+    index = np.random.default_rng(3).integers(1, 257, size=200)
+    censor_step = np.full(201, 257)
+    censor_step[200] = 5
+    data = synth(mu, 201, t_max, list(enumerate(index.tolist())),
+                 censor_step=censor_step)
+    fh, excluded = data.first_hit_sample()
+    assert fh.size == 200 and np.isfinite(fh).all()
+    assert excluded == 1 / 201
+    assert data.window_ks() == ks_exp1(fh)
+
+
+def test_window_ks_counts_survivors_to_the_window_end():
+    # one hit at t = 0.1 among 4 orbits, window [0, 1]: the largest gap is
+    # at the window's end, F(1) - 1/4
+    data = synth(0.1, 4, 1.0, [(0, 1)])
+    assert data.window_ks() == pytest.approx(1.0 - math.exp(-1.0) - 0.25)
+    assert math.isnan(synth(0.1, 2, 1.0, []).window_ks())
 
 
 def test_survival_curve_synthetic():
