@@ -199,12 +199,20 @@ def _prepare(args, place_holes):
         problems += [f"table violation {v}" for v in validate_table(table)
                      if place_holes or v.kind == "components_intersect"]
     if place_holes and table is not None:
-        hole = conf["hole"]
+        hole, run, checks = conf["hole"], conf["run"], conf["checks"]
+        # the longest normalized horizon any march of a hole runs to
+        t = run["t_max"] if run else 0.0
+        if checks and (checks["short_returns"] or checks["quasi_section"]):
+            t = max(t, CHECK_T_MAX)
         for r in hole["radii"] if hole else ():
             try:
                 holes.append(make_hole(table, hole["center_s"], r))
             except GeometryError as e:
                 problems.append(f"hole r={r}: {e}")
+        # ceil(t / mu) collisions must fit an int64; mu = 0 fails too
+        problems += [f"hole r={h.radius}: horizon {t:g} / mu {h.measure:g} "
+                     "is past 2**63 collisions"
+                     for h in holes if t >= 2 ** 63 * h.measure]
     if problems:
         raise ConfigError(*problems)
     return conf, table, holes
@@ -332,15 +340,10 @@ def cmd_run(args):
                     entry["count_correlation"] = float(cr.correlations[0, 1])
             diag = {"censoring": entry["censored_fraction"]}
             if checks["short_returns"]:
-                try:
-                    srr = next(family).short_returns()
-                except ValueError:      # no hit pair, no fraction
-                    sr = {"fraction": None, "p": None, "n_pairs": 0}
-                else:
-                    sr = {"fraction": srr.fraction, "p": srr.p,
-                          "n_pairs": srr.n_pairs}
-                entry["short_return_fraction"] = sr["fraction"]
-                diag["short_return"] = sr
+                sr = next(family).short_returns()
+                entry["short_return_fraction"] = sr.fraction
+                diag["short_return"] = {"fraction": sr.fraction, "p": sr.p,
+                                        "n_pairs": sr.n_pairs}
             if checks["quasi_section"]:
                 q = next(family).quasi_section(
                     table.components[hole.component].kind)
@@ -366,8 +369,8 @@ def cmd_run(args):
 
 def _enforce(args, summary, thresholds):
     """3 under --enforce after printing each breached threshold (the hitting
-    ones at the smallest radius), else 0.  An undefined statistic (None or
-    not finite) breaches: nothing shows that its threshold holds."""
+    ones at the smallest radius), else 0.  An undefined (not finite)
+    statistic breaches: nothing shows that its threshold holds."""
     enforced = []       # (label, value, threshold) per enforced statistic
     if summary["radii"]:
         tag = f"r_{min(summary['radii']):g}"
@@ -385,7 +388,7 @@ def _enforce(args, summary, thresholds):
                          thresholds["kac"]))
     breaches = []
     for label, value, limit in enforced:
-        if value is None or not math.isfinite(value):
+        if not math.isfinite(value):
             breaches.append(f"{label} undefined")
         elif value >= limit:
             breaches.append(f"{label} {value:.4f} >= {limit}")

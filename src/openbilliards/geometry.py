@@ -157,6 +157,9 @@ class Table:
     def __post_init__(self):
         if not self.components:
             raise GeometryError("table needs at least one component")
+        # validation squares lengths up to the diameter as Python floats
+        if not math.isfinite(self.diameter * self.diameter):
+            raise GeometryError(f"table too large: diameter {self.diameter:g}")
         self.chains  # a boundary that does not close fails here
 
     @property
@@ -188,9 +191,9 @@ class Table:
             else:
                 pts.append((c.center[0] - c.radius, c.center[1] - c.radius))
                 pts.append((c.center[0] + c.radius, c.center[1] + c.radius))
-        pts = np.asarray(pts)
-        ext = pts.max(axis=0) - pts.min(axis=0)
-        return float(math.hypot(ext[0], ext[1]))
+        # Python floats: an extent that overflows is inf, with no warning
+        xs, ys = zip(*pts)
+        return math.hypot(max(xs) - min(xs), max(ys) - min(ys))
 
     @cached_property
     def chains(self):
@@ -573,11 +576,15 @@ def _parse_component(i, spec):
         return FlatSegment(_point(name + "p0", spec.get("p0")),
                            _point(name + "p1", spec.get("p1")))
     if kind == "arc":
+        dispersing = spec.get("dispersing", False)
+        if not isinstance(dispersing, bool):
+            raise GeometryError(
+                f"{name}dispersing must be true or false, got {dispersing!r}")
         return CircularArc(_point(name + "center", spec.get("center")),
                            _real(name + "radius", spec.get("radius")),
                            _real(name + "theta0", spec.get("theta0")),
                            _real(name + "theta1", spec.get("theta1")),
-                           dispersing=bool(spec.get("dispersing", False)))
+                           dispersing=dispersing)
     raise GeometryError(f"unknown component kind {kind!r}")
 
 
@@ -675,11 +682,10 @@ def cut_stadium_components(flat_length, half_gap):
 
 
 def _seg_min_dist(p, seg):
-    dx, dy = seg.p1[0] - seg.p0[0], seg.p1[1] - seg.p0[1]
+    tx, ty = seg.tangent
     wx, wy = p[0] - seg.p0[0], p[1] - seg.p0[1]
-    t = (wx * dx + wy * dy) / (dx * dx + dy * dy)
-    t = min(max(t, 0.0), 1.0)
-    return math.hypot(wx - t * dx, wy - t * dy)
+    t = min(max(wx * tx + wy * ty, 0.0), seg.length)
+    return math.hypot(wx - t * tx, wy - t * ty)
 
 
 def _in_span(arc, theta):

@@ -88,17 +88,17 @@ def sample_base_points(table, n_samples, seed):
 
     The burn-in step populates the previous-component history; by invariance
     the accepted points follow the SRB measure conditioned on X.  Returns
-    (s, phi, comp) arrays of accepted points, the empirical mu(X), and the
-    fraction of lanes censored during burn-in.
+    (s, phi, comp) arrays of accepted points, the empirical mu(X), NaN when
+    no lane survives the burn-in, and the burn-in's censored fraction.
     """
     s, phi = SrbSampler(table, seed).sample(n_samples)
     comp_prev = table._bg.component(s)
     s1, phi1, _, comp1, flag = step_batch(table, s, phi)
     ok = flag == FLAG_OK
     member = base_mask(table, comp1, comp_prev) & ok
-    mu_x = member.sum() / max(ok.sum(), 1)
+    mu_x = float(member.sum() / ok.sum()) if ok.any() else np.nan
     return ((s1[member], phi1[member], comp1[member]),
-            float(mu_x), float(1.0 - ok.mean()))
+            mu_x, float(1.0 - ok.mean()))
 
 
 def return_time(table, x, cap=RETURN_CAP):
@@ -150,21 +150,21 @@ class BaseReturns:
         count = np.bincount(R_ok, minlength=n_max + 1)[1:]
         # returns after n, plus the lanes past the cap, which exceed every n
         above = count[::-1].cumsum()[::-1] - count
-        survival = (above + int(cap_hit.sum())) / max(n_valid, 1)
+        survival = (above + int(cap_hit.sum())) / n_valid
         return TailReport(
             n=np.arange(1, n_max + 1),
             survival=survival,
             count=count,
             n_base=n_valid,
-            censored_fraction=float(flagged.mean()) if R.size else 0.0,
-            cap_fraction=float(cap_hit.mean()) if R.size else 0.0,
+            censored_fraction=float(flagged.mean()) if R.size else np.nan,
+            cap_fraction=float(cap_hit.mean()) if R.size else np.nan,
         )
 
     def kac(self):
         """|mean_X(R) * mu(X) - 1|: Kac's identity as an empirical defect."""
         good = ~self.cap_hit & ~self.flagged
-        mean_r = float(self.R[good].mean()) if good.any() else float("nan")
-        cens = (self.cap_hit | self.flagged).mean() if self.R.size else 0.0
+        mean_r = float(self.R[good].mean()) if good.any() else np.nan
+        cens = (~good).mean() if good.size else np.nan
         return KacReport(defect=float(abs(mean_r * self.mu_x - 1.0)),
                          mu_x=self.mu_x, mean_R=mean_r,
                          n_base=int(good.sum()), censored_fraction=float(cens))

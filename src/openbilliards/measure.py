@@ -52,11 +52,11 @@ class SrbSampler:
 def ks_statistic(sorted_values, cdf_values):
     """Exact sup distance between an empirical CDF and model CDF values.
 
-    cdf_values must be the model CDF evaluated at the sorted sample.
+    cdf_values are the model CDF at the sorted sample.  NaN when empty.
     """
     n = len(sorted_values)
     if n == 0:
-        raise ValueError("empty sample")
+        return math.nan
     ranks = np.arange(1, n + 1) / n
     above = ranks - cdf_values
     ranks -= 1.0 / n            # the empirical CDF just below each point
@@ -79,7 +79,8 @@ def invariance_defect(table, n, seed, phi_mode="cosine"):
     and returns the KS distances of the image phi-marginal against the
     cos-density CDF (1 + sin(phi))/2 and of the image s-marginal against
     uniform.  phi_mode="uniform" seeds with the wrong angular law and should
-    send ks_phi far from zero.
+    send ks_phi far from zero.  With every lane censored both KS values
+    are NaN.
     """
     if n < 1:
         raise ValueError("need n >= 1")

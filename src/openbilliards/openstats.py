@@ -115,18 +115,15 @@ class HittingData:
 
         p = ceil(mu^-(1-epsilon)).  Induced steps are entries into the
         class's inducing base X between the two hits (plain collisions where
-        R = 1), read off hit_induced.
+        R = 1), read off hit_induced.  With no pair of hits in one orbit
+        the fraction is NaN.
         """
         p = math.ceil(self.mu ** -(1.0 - epsilon))
-        if self.hit_orbit.size == 0:
-            raise ValueError("no hole hits collected; cannot form a fraction")
         same = self.hit_orbit[1:] == self.hit_orbit[:-1]
         gaps = self.hit_induced[1:][same] - self.hit_induced[:-1][same]
-        if gaps.size == 0:
-            raise ValueError("no consecutive hit pairs collected")
-        return ShortReturnReport(float((gaps <= p).mean()), p,
-                                 int(gaps.size), self.mu, self.n_orbits,
-                                 self.censored_fraction)
+        fraction = float((gaps <= p).mean()) if gaps.size else math.nan
+        return ShortReturnReport(fraction, p, int(gaps.size), self.mu,
+                                 self.n_orbits, self.censored_fraction)
 
     def quasi_section(self, host_kind):
         """Fraction of hole-visiting excursions with two or more hits.
@@ -259,10 +256,8 @@ def survival_curve(data, t_grid):
 
 
 def ks_exp1(first_hits):
-    """KS statistic of a first-hitting sample against Exp(1)."""
+    """KS statistic of a first-hitting sample against Exp(1); NaN if empty."""
     x = np.sort(np.asarray(first_hits, dtype=float))
-    if x.size == 0:
-        raise ValueError("empty sample")
     return ks_statistic(x, 1.0 - np.exp(-x))
 
 

@@ -412,6 +412,16 @@ UNDEFINED_RUN = {"version": 1, "table": STADIUM,
                  "run": {"seed": 1, "n_orbits": 3, "t_max": 0.2}}
 
 
+# a disk of radius 1e-9: at seed 1 every lane is censored at its first
+# step (grazing, or an overflow of the torus walk before it meets the disk)
+ALL_CENSORED = {
+    "version": 1,
+    "table": {"class": "sinai_torus", "centers": [[0.5, 0.5]],
+              "radii": [1.0e-9]},
+    "run": {"seed": 1}, "checks": {"invariance": True},
+    "budgets": {"invariance_samples": 100, "kac_samples": 100}}
+
+
 def test_undefined_statistics_are_json_null(tmp_path, capsys):
     out = tmp_path / "o"
     cfg = write_cfg(tmp_path / "i.yaml", UNDEFINED_INDUCING)
@@ -426,6 +436,22 @@ def test_undefined_statistics_are_json_null(tmp_path, capsys):
                  "--out", str(out)]) == 0
     entry = read_json(out / "summary.json")["per_radius"]["r_0.05"]
     assert entry["ks_exp1"] is None and entry["count_correlation"] is None
+
+    # every lane censored: no invariance KS, no mu(X), no base point
+    cfg = write_cfg(tmp_path / "t.yaml", ALL_CENSORED)
+    capsys.readouterr()
+    invariance = {"ks_phi": None, "ks_s": None, "n": 0,
+                  "censored_fraction": 1.0}
+    assert main(["check", "invariants", cfg, "--out", str(out)]) == 0
+    assert strict_json(capsys.readouterr().out) == invariance
+    assert main(["run", cfg, "--out", str(out)]) == 0
+    summary = read_json(out / "summary.json")["checks"]["invariance"]
+    assert {k: summary[k] for k in invariance} == invariance
+    assert main(["inducing", cfg, "--out", str(out)]) == 0
+    printed = strict_json(capsys.readouterr().out)
+    assert printed["n_base"] == 0
+    for key in ("mu_x", "censored_fraction", "cap_fraction"):
+        assert printed[key] is None, key
 
 
 # a disk of radius 0.001: at seeds 1-3 the one orbit overflows the torus
@@ -447,8 +473,9 @@ def test_short_returns_without_a_hit_pair_are_null(tmp_path, capsys):
             "--out", str(tmp_path / "o")]
     assert main(argv) == 0
     rdir = tmp_path / "o" / "r_0.0001"
+    # p = ceil(mu^-0.9) is defined without a pair
     assert read_json(rdir / "diagnostics.json")["short_return"] \
-        == {"fraction": None, "p": None, "n_pairs": 0}
+        == {"fraction": None, "p": 23, "n_pairs": 0}
     entry = read_json(tmp_path / "o" / "summary.json")["per_radius"]
     assert entry["r_0.0001"]["short_return_fraction"] is None
     capsys.readouterr()
@@ -521,6 +548,15 @@ def test_statistics_of_no_data_are_undefined(tmp_path, capsys):
     assert main(argv + ["--enforce"]) == 3
     assert capsys.readouterr().err.count("r_0.0001: tv undefined") == 2
 
+    # every lane censored: both invariance KS values breach
+    cfg = write_cfg(tmp_path / "t.yaml", ALL_CENSORED)
+    for command in (["check", "invariants"], ["run"]):
+        assert main([*command, cfg, "--out", str(tmp_path / "t"),
+                     "--enforce"]) == 3
+        err = capsys.readouterr().err
+        assert "threshold breach: invariance ks_phi undefined" in err
+        assert "threshold breach: invariance ks_s undefined" in err
+
 
 @pytest.mark.parametrize("command, cfg, statistic", [
     (["inducing", "--samples", "1"], UNDEFINED_INDUCING, "kac defect"),
@@ -573,6 +609,11 @@ def test_enforce_fails_closed_on_undefined_statistics(command, cfg, statistic,
     ({"table": {"class": "flower", "components": [{"kind": "flat"}]}},
      "component 0 p0 must be"),
     ({"version": True}, "config must declare version: 1"),
+    # a quoted "false" is a string, and a non-empty string is truthy
+    ({"table": {"class": "flower", "components": [
+        {"kind": "arc", "center": [0.0, 0.0], "radius": 1.0, "theta0": 0.0,
+         "theta1": 2 * math.pi, "dispersing": "false"}]}},
+     "component 0 dispersing must be true or false"),
 ])
 def test_run_rejects_bad_config_before_marching(change, message, tmp_path,
                                                 capsys, monkeypatch):
@@ -588,6 +629,33 @@ def test_run_rejects_bad_config_before_marching(change, message, tmp_path,
     err = capsys.readouterr().err
     assert err.count("error: ") == len(commands)
     assert err.count(message) == len(commands)
+    assert not (tmp_path / "results").exists()
+
+
+# a horizon is checked where holes are placed, so `check` and `inducing`
+# accept these configs
+@pytest.mark.parametrize("change", [
+    {"run": {**SINAI_CFG["run"], "t_max": 1.0e30}},
+    {"hole": {"center_s": 0.3, "radii": [5e-324]}},     # mu = 0
+    # 2**63 mu = 14.7: t_max 3 fits, the checks' horizon 20 does not
+    {"hole": {"center_s": 0.3, "radii": [1.0e-18]},
+     "checks": {"short_returns": True}},
+    {"hole": {"center_s": 0.3, "radii": [1.0e-18]},
+     "checks": {"quasi_section": True}},
+])
+def test_horizons_past_int64_are_rejected_before_marching(change, tmp_path,
+                                                          capsys,
+                                                          monkeypatch):
+    def no_march(*args, **kwargs):
+        raise AssertionError("a rejected config was marched")
+
+    monkeypatch.setattr(dynamics, "step_batch", no_march)
+    monkeypatch.chdir(tmp_path)
+    cfg = write_cfg(tmp_path / "c.yaml", {**SINAI_CFG, **change})
+    assert main(["validate", cfg]) == 2
+    assert main(["run", cfg]) == 2
+    errors = capsys.readouterr().err.splitlines()
+    assert errors and all("past 2**63 collisions" in e for e in errors)
     assert not (tmp_path / "results").exists()
 
 
@@ -656,7 +724,10 @@ TINY_CFG = {
                    "cone_violations": 0},
     "out": "results",
 }
-POOL = (None, "x", [], {}, -1, 0, 0.5, math.nan, math.inf, True)
+# 1e300 overflows a squared table size or a horizon; 5e-324 gives a hole
+# of measure 0
+POOL = (None, "x", [], {}, -1, 0, 0.5, math.nan, math.inf, True, 1e300,
+        5e-324)
 
 
 def _paths(node, path=()):

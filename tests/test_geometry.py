@@ -167,6 +167,16 @@ def test_squash_needs_room_for_tangents():
         build_table("squash", r1=0.2, r2=1.0, center_distance=0.5)
 
 
+@pytest.mark.parametrize("r1, r2, center_distance", [
+    (1.0e300, 1.0e305, 1.0e306),
+    (1.0, 1.0e308, 1.7e308),    # the extent itself overflows
+])
+def test_table_with_overflowing_squared_diameter_is_rejected(r1, r2,
+                                                             center_distance):
+    with pytest.raises(GeometryError, match="table too large"):
+        build_table("squash", r1=r1, r2=r2, center_distance=center_distance)
+
+
 def test_flower_rejects_long_focusing_arc():
     comps = [
         {"kind": "arc", "center": (0.0, 0.0), "radius": 1.0,
@@ -196,6 +206,8 @@ def test_standard_tables_validate_clean():
     tables = [
         sinai(),
         build_table("stadium", flat_length=2.0),
+        # a flat whose squared length underflows to 0
+        build_table("stadium", flat_length=1.0e-320),
         build_table("squash", r1=0.6, r2=1.0, center_distance=2.0),
         build_table("diamond", square_side=2.0, corner_radius=0.5),
         build_table("flower", components=regular_flower_components(4, 2.0)),

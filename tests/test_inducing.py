@@ -166,6 +166,9 @@ def test_tail_tabulates_only_measured_returns():
     rep = returns.tail()
     assert rep.n.size == rep.survival.size == rep.count.size == 0
     assert rep.n_base == 0 and np.isnan(returns.kac().mean_R)
+    # fractions of no base point are undefined, not 0
+    assert np.isnan([rep.censored_fraction, rep.cap_fraction,
+                     returns.kac().censored_fraction]).all()
     # lanes past the cap are data: they survive past n = 1
     capped = BaseReturns(np.zeros(2, dtype=np.int64), np.ones(2, dtype=bool),
                          np.zeros(2, dtype=bool), 0.5).tail()
