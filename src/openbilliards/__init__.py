@@ -8,7 +8,6 @@ from .geometry import (
     Table,
     build_table,
     cut_stadium_components,
-    locate,
     make_hole,
     regular_flower_components,
     validate_table,
@@ -20,27 +19,11 @@ from .dynamics import (
     FLAG_LOST,
     FLAG_OK,
     FLAG_UNFOLD,
-    CollisionResult,
-    FocalPointError,
-    OrbitRecord,
-    PhasePoint,
-    SingularOrbit,
-    billiard_map,
-    curvature_evolve,
-    expansion_factor,
-    next_collision,
-    orbit,
     step_batch,
-    tangent_map,
 )
 from .measure import SrbSampler, invariance_defect, ks_statistic
-from .cones import Cone, cone_at, cone_invariance_scan, in_cone, slope_of
-from .inducing import (
-    ExtendedPhasePoint,
-    base_returns,
-    in_base,
-    return_time,
-)
+from .cones import cone_invariance_scan
+from .inducing import base_returns
 from .openstats import (
     collect_hitting,
     count_statistics,

@@ -18,16 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import FLAG_OK, tangent_map_batch
-from .geometry import locate
 from .measure import SrbSampler
-
-
-@dataclass(frozen=True)
-class Cone:
-    lo: float
-    hi: float          # math.inf means the vertical direction is included
-    kind: str          # "unstable" | "stable"
-    K: float
 
 
 def _cone_edges(K, kind="unstable"):
@@ -39,28 +30,6 @@ def _cone_edges(K, kind="unstable"):
         # mirror image of the unstable cone under (dq, dphi) -> (dq, -dphi)
         return np.where(K < 0, 0.0, -np.inf), -K
     raise ValueError(f"unknown cone kind {kind!r}")
-
-
-def cone_at(table, x, kind="unstable"):
-    """Cone of Lemma-9.1 type at phase point x, set by the host curvature."""
-    K = locate(table, x.s).curvature
-    return Cone(*map(float, _cone_edges(K, kind)), kind, K)
-
-
-def slope_of(v):
-    """Slope dphi/dq of a tangent vector; vertical counts as +inf."""
-    dq, dphi = v
-    if dq == 0.0:
-        if dphi == 0.0:
-            raise ValueError("zero tangent vector")
-        return math.inf
-    return dphi / dq
-
-
-def in_cone(cone, v):
-    """Closed-cone membership by slope."""
-    sl = slope_of(v)
-    return cone.lo <= sl <= cone.hi
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,12 @@
-"""Collision map, tangent map and wavefront curvature for billiard tables.
+"""Collision map, tangent map and the orbit loop for billiard tables.
 
 Phase points are boundary coordinates x = (s, phi): arclength s along the
 traversal and the post-collisional angle phi in (-pi/2, pi/2) measured from
 the inward normal toward the traversal tangent, so the outgoing direction is
 cos(phi) * n + sin(phi) * t.
 
-Everything flows through one vectorized kernel (step_batch); the scalar API
-wraps single-lane arrays so there is exactly one arithmetic path.  The kernel
+Everything flows through one vectorized kernel (step_batch), so there is
+exactly one arithmetic path; a single orbit is a one-lane array.  The kernel
 keeps only the map itself: the flight direction, the unit-cell walk on the
 torus, the reflection angle and the censoring flags.  Every formula on the
 boundary's components lives in the table's batch geometry: locate_batch
@@ -25,7 +25,6 @@ whole-batch step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,6 +49,7 @@ FLAG_CORNER = 2
 FLAG_UNFOLD = 3
 FLAG_LOST = 4
 
+# FLAG_NAMES stays public: perfbench names its censor.* metrics from it
 FLAG_NAMES = {
     FLAG_OK: "ok",
     FLAG_GRAZING: "grazing",
@@ -57,28 +57,6 @@ FLAG_NAMES = {
     FLAG_UNFOLD: "unfold_overflow",
     FLAG_LOST: "lost",
 }
-
-
-class SingularOrbit(RuntimeError):
-    """Scalar map hit a censored configuration (grazing/corner/overflow)."""
-
-
-class FocalPointError(ValueError):
-    """Wavefront focuses exactly at the next collision; curvature undefined."""
-
-
-@dataclass(frozen=True)
-class PhasePoint:
-    s: float
-    phi: float
-
-
-@dataclass(frozen=True)
-class CollisionResult:
-    point: PhasePoint
-    tau: float
-    component: int
-    flag: int
 
 
 def _crossings(b, tmax, tdelta):
@@ -263,23 +241,6 @@ def march(table, s, phi, horizon, observe, comp=None):
     return censor_step, censor_kind, lanes
 
 
-def next_collision(table, x):
-    """Scalar step: next collision from phase point x, flags included."""
-    s1, phi1, tau, comp, flag = step_batch(
-        table, np.array([x.s]), np.array([x.phi]))
-    return CollisionResult(
-        point=PhasePoint(float(s1[0]), float(phi1[0])),
-        tau=float(tau[0]), component=int(comp[0]), flag=int(flag[0]))
-
-
-def billiard_map(table, x):
-    """Scalar collision map; raises SingularOrbit on censored impacts."""
-    res = next_collision(table, x)
-    if res.flag != FLAG_OK:
-        raise SingularOrbit(f"censored collision: {FLAG_NAMES[res.flag]}")
-    return res.point
-
-
 def tangent_map_batch(table, s, phi):
     """Collision-map derivative at each lane, plus the underlying step data.
 
@@ -301,81 +262,3 @@ def tangent_map_batch(table, s, phi):
         M[..., 1, 0] = f * (tau * K0 * K1 + K0 * c1 + K1 * c0)
         M[..., 1, 1] = f * (tau * K1 + c1)
     return M, (s1, phi1, tau, comp, flag)
-
-
-def tangent_map(table, x):
-    """2x2 derivative of the collision map at x in (s, phi) coordinates."""
-    M, (_, _, _, _, flag) = tangent_map_batch(
-        table, np.array([x.s]), np.array([x.phi]))
-    if int(flag[0]) != FLAG_OK:
-        raise SingularOrbit(
-            f"tangent map at censored collision: {FLAG_NAMES[int(flag[0])]}")
-    return M[0]
-
-
-def curvature_evolve(B_plus, tau, K_next, phi_next):
-    """Propagate post-collisional wavefront curvature through one flight.
-
-    Free flight acts on the inverse curvature, 1/B_in(next) = tau + 1/B_out,
-    and the collision adds 2 K / cos(phi).  Returns (B_minus_next,
-    B_plus_next).  math.inf encodes the flat-fiber limit 1/B = 0.
-    """
-    if tau <= 0.0:
-        raise ValueError(f"flight time must be positive, got {tau}")
-    inv_b = 0.0 if math.isinf(B_plus) else (math.inf if B_plus == 0.0 else 1.0 / B_plus)
-    denom = tau + inv_b
-    if denom == 0.0:
-        raise FocalPointError("wavefront focuses exactly at the next collision")
-    B_minus = 0.0 if math.isinf(denom) else 1.0 / denom
-    B_plus_next = B_minus + 2.0 * K_next / math.cos(phi_next)
-    return B_minus, B_plus_next
-
-
-def expansion_factor(B_plus, tau):
-    """Per-flight expansion |1 + tau * B_plus| in the p-metric cos(phi)|ds|."""
-    if not (math.isfinite(B_plus) and math.isfinite(tau)):
-        raise ValueError("expansion factor needs finite curvature and flight time")
-    return abs(1.0 + tau * B_plus)
-
-
-@dataclass(frozen=True)
-class OrbitRecord:
-    """Outcome of iterating one orbit: hit indices, the component of each
-    collision and censoring data."""
-
-    n_steps: int
-    hits: np.ndarray
-    flag: int                 # FLAG_OK, or the flag that ended the orbit
-    final: PhasePoint
-    components: np.ndarray    # component hit at collisions 1 .. n_steps
-
-    @property
-    def censored(self):
-        return self.flag != FLAG_OK
-
-
-def orbit(table, x0, max_steps, hole=None):
-    """Iterate the collision map from x0 for up to max_steps collisions.
-
-    Records the indices i >= 1 whose impact lands inside the hole (the seed
-    point itself never counts) and the component of every collision.  A
-    censored impact ends the orbit at the previous collision.
-    """
-    hits, comps = [], []
-    last = [np.array([float(x0.s)]), np.array([float(x0.phi)])]
-
-    def observe(i, lanes, s, phi, comp, prev):
-        last[:] = s, phi
-        comps.append(int(comp[0]))
-        if hole is not None and bool(hole.contains(s[0])):
-            hits.append(i)
-
-    censor_step, censor_kind, _ = march(table, last[0], last[1], max_steps,
-                                        observe)
-    return OrbitRecord(
-        n_steps=int(censor_step[0]) - 1,
-        hits=np.asarray(hits, dtype=np.int64),
-        flag=int(censor_kind[0]),
-        final=PhasePoint(float(last[0][0]), float(last[1][0])),
-        components=np.asarray(comps, dtype=np.int64),
-    )

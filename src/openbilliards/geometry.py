@@ -443,33 +443,6 @@ def locate_batch(table, s):
             "K": bg.K[idx]}
 
 
-@dataclass(frozen=True)
-class BoundaryPoint:
-    """locate() result: boundary data at arclength s.  The traversal tangent
-    is the inward normal rotated -90 degrees."""
-
-    s: float
-    position: tuple
-    normal: tuple
-    curvature: float
-    component: int
-    corner: bool
-
-
-def locate(table, s):
-    """Boundary point at arclength s (s taken modulo the perimeter)."""
-    out = locate_batch(table, np.asarray([s], dtype=float))
-    s = float(np.asarray(s) % table.perimeter)
-    return BoundaryPoint(
-        s=s,
-        position=(float(out["x"][0]), float(out["y"][0])),
-        normal=(float(out["nx"][0]), float(out["ny"][0])),
-        curvature=float(out["K"][0]),
-        component=int(out["component"][0]),
-        corner=bool(table.near_junction(s)),
-    )
-
-
 # ---------------------------------------------------------------------------
 # constructors
 

@@ -5,7 +5,7 @@ The base set is class-specific.  Dispersing tables take every collision
 one circular arc; flowers additionally keep every dispersing collision;
 the semi-dispersing rectangle keeps scatterer collisions.  Membership of a
 collision therefore depends on the previous collision's component, which is
-why extended points carry one step of history.
+why base_mask takes it beside the current one.
 """
 
 from __future__ import annotations
@@ -14,24 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import FLAG_OK, PhasePoint, march, step_batch
+from .dynamics import FLAG_OK, march, step_batch
 from .measure import SrbSampler
-
-RETURN_CAP = 100_000
-
-
-@dataclass(frozen=True)
-class ExtendedPhasePoint:
-    point: PhasePoint
-    current_component: int
-    previous_component: int | None = None
-
-
-@dataclass(frozen=True)
-class ReturnSample:
-    base: ExtendedPhasePoint
-    R: int          # 0 when censored
-    censored: bool
 
 
 def base_mask(table, now, prev):
@@ -54,13 +38,6 @@ def base_mask(table, now, prev):
     if tag == "semi_dispersing":
         return bg.is_arc[now]
     raise ValueError(f"no inducing rule for table class {tag!r}")
-
-
-def in_base(table, x):
-    """Membership of an extended phase point in the inducing base X."""
-    prev = -1 if x.previous_component is None else x.previous_component
-    return bool(base_mask(table, np.array([x.current_component]),
-                          np.array([prev]))[0])
 
 
 def _returns_batch(table, s, phi, comp0, cap):
@@ -99,17 +76,6 @@ def sample_base_points(table, n_samples, seed):
     mu_x = float(member.sum() / ok.sum()) if ok.any() else np.nan
     return ((s1[member], phi1[member], comp1[member]),
             mu_x, float(1.0 - ok.mean()))
-
-
-def return_time(table, x, cap=RETURN_CAP):
-    """Return time of one base point (an ExtendedPhasePoint in X)."""
-    if not in_base(table, x):
-        raise ValueError("point is not in the inducing base")
-    R, cap_hit, flagged = _returns_batch(
-        table, np.array([x.point.s]), np.array([x.point.phi]),
-        np.array([x.current_component]), cap)
-    censored = bool(cap_hit[0] or flagged[0])
-    return ReturnSample(base=x, R=int(R[0]), censored=censored)
 
 
 @dataclass(frozen=True)

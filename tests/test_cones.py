@@ -6,16 +6,13 @@ import pytest
 
 from openbilliards import FLAG_GRAZING, build_table, dynamics
 from openbilliards.cones import (
-    Cone,
     ConeScanReport,
-    cone_at,
+    _cone_edges,
     cone_invariance_scan,
-    in_cone,
-    slope_of,
 )
-from openbilliards.dynamics import PhasePoint
 from openbilliards.geometry import (
     cut_stadium_components,
+    locate_batch,
     regular_flower_components,
 )
 
@@ -42,54 +39,36 @@ def stadium():
     return SCAN_TABLES["stadium"]()
 
 
+def host_curvature(table, s):
+    return float(locate_batch(table, [s])["K"][0])
+
+
 def test_cone_at_dispersing(sinai):
     # scatterer of radius 0.2: K = 5, unstable cone [5, inf]
-    c = cone_at(sinai, PhasePoint(0.1, 0.0))
-    assert (c.lo, c.hi) == (5.0, math.inf)
-    assert c.kind == "unstable"
-    s = cone_at(sinai, PhasePoint(0.1, 0.0), kind="stable")
-    assert (s.lo, s.hi) == (-math.inf, -5.0)
+    K = host_curvature(sinai, 0.1)
+    assert K == 5.0
+    assert _cone_edges(K) == (5.0, math.inf)
+    assert _cone_edges(K, "stable") == (-math.inf, -5.0)
 
 
 def test_cone_at_flat(stadium):
-    c = cone_at(stadium, PhasePoint(0.5, 0.2))
-    assert (c.lo, c.hi) == (0.0, math.inf)
-    s = cone_at(stadium, PhasePoint(0.5, 0.2), kind="stable")
-    assert (s.lo, s.hi) == (-math.inf, 0.0)
+    K = host_curvature(stadium, 0.5)
+    assert K == 0.0
+    assert _cone_edges(K) == (0.0, math.inf)
+    assert _cone_edges(K, "stable") == (-math.inf, 0.0)
 
 
 def test_cone_at_focusing(stadium):
     # unit-radius cap: K = -1, unstable cone [-1, 0]
-    c = cone_at(stadium, PhasePoint(2.5, 0.0))
-    assert (c.lo, c.hi) == (-1.0, 0.0)
-    s = cone_at(stadium, PhasePoint(2.5, 0.0), kind="stable")
-    assert (s.lo, s.hi) == (0.0, 1.0)
+    K = host_curvature(stadium, 2.5)
+    assert K == -1.0
+    assert _cone_edges(K) == (-1.0, 0.0)
+    assert _cone_edges(K, "stable") == (0.0, 1.0)
 
 
-def test_cone_at_rejects_unknown_kind(sinai):
+def test_cone_at_rejects_unknown_kind():
     with pytest.raises(ValueError):
-        cone_at(sinai, PhasePoint(0.1, 0.0), kind="neutral")
-
-
-def test_slope_of():
-    assert slope_of((2.0, 1.0)) == 0.5
-    assert slope_of((0.0, 3.0)) == math.inf
-    assert slope_of((0.0, -3.0)) == math.inf
-    with pytest.raises(ValueError):
-        slope_of((0.0, 0.0))
-
-
-def test_in_cone_membership():
-    disp = Cone(5.0, math.inf, "unstable", 5.0)
-    assert in_cone(disp, (1.0, 6.0))
-    assert in_cone(disp, (1.0, 5.0))      # boundary is included
-    assert not in_cone(disp, (1.0, 4.0))
-    assert in_cone(disp, (0.0, 1.0))      # vertical belongs when hi = inf
-    foc = Cone(-1.0, 0.0, "unstable", -1.0)
-    assert in_cone(foc, (1.0, -0.5))
-    assert in_cone(foc, (1.0, 0.0))
-    assert not in_cone(foc, (1.0, 0.1))
-    assert not in_cone(foc, (0.0, 1.0))   # vertical excluded on focusing
+        _cone_edges(5.0, "neutral")
 
 
 @pytest.mark.parametrize("name", sorted(SCAN_TABLES))

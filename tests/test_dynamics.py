@@ -18,22 +18,13 @@ from openbilliards import (
     FLAG_GRAZING,
     FLAG_OK,
     FLAG_UNFOLD,
-    FocalPointError,
-    PhasePoint,
-    SingularOrbit,
-    billiard_map,
     build_table,
-    curvature_evolve,
     dynamics,
-    expansion_factor,
     make_hole,
-    next_collision,
-    orbit,
     regular_flower_components,
     step_batch,
-    tangent_map,
 )
-from openbilliards.dynamics import tangent_map_batch
+from openbilliards.dynamics import march, tangent_map_batch
 from openbilliards.geometry import locate_batch
 from openbilliards.measure import SrbSampler
 
@@ -189,6 +180,25 @@ TRACE_TOL = {"sinai": 1e-4, "stadium": 1e-12, "squash": 1e-12,
 CLASSES = list(SEEDS)
 
 
+def tangent_at(table, s, phi):
+    """Df at one uncensored phase point: tangent_map_batch on one lane."""
+    M, (_, _, _, _, flag) = tangent_map_batch(table, [s], [phi])
+    assert flag[0] == FLAG_OK
+    return M[0]
+
+
+def observed(table, s0, phi0, horizon):
+    """One lane marched: (j, s, phi, component) at each observed collision,
+    then the lane's censor step and kind."""
+    seen = []
+
+    def observe(j, lanes, s, phi, comp, prev):
+        seen.append((j, float(s[0]), float(phi[0]), int(comp[0])))
+
+    step, kind, _ = march(table, [s0], [phi0], horizon, observe)
+    return seen, int(step[0]), int(kind[0])
+
+
 @pytest.mark.parametrize("name", CLASSES)
 def test_trace_matches_reference(name):
     table = make(name)
@@ -220,22 +230,21 @@ def test_long_flight_matches_reference(name):
 @pytest.mark.parametrize("name", CLASSES)
 def test_tangent_map_matches_reference(name):
     table = make(name)
-    s0, phi0 = SEEDS[name]
-    M = tangent_map(table, PhasePoint(s0, phi0))
+    M = tangent_at(table, *SEEDS[name])
     assert_allclose(M, np.array(FROZEN_DF[name]), rtol=1e-11, atol=1e-12)
 
 
 def test_sinai_symmetry_orbit_jacobian():
     """Head-on crossing of the unit cell: tau=0.6, K=5, phi=0."""
     table = make("sinai")
-    M = tangent_map(table, PhasePoint(0.0, 0.0))
+    M = tangent_at(table, 0.0, 0.0)
     assert_allclose(M, -np.array([[4.0, 0.6], [25.0, 4.0]]), atol=1e-12)
     assert_allclose(np.linalg.det(M), 1.0, atol=1e-12)
 
 
 def test_stadium_flat_to_flat_shear():
     table = make("stadium")
-    M = tangent_map(table, PhasePoint(1.0, 0.0))
+    M = tangent_at(table, 1.0, 0.0)
     assert_allclose(M, -np.array([[1.0, 2.0], [0.0, 1.0]]), atol=1e-12)
 
 
@@ -274,31 +283,20 @@ def test_time_reversal_involution(name):
     assert good.mean() > 0.95
 
 
-def test_scalar_and_batch_agree():
-    table = make("squash")
-    rng = np.random.default_rng(3)
-    s = rng.uniform(0, table.perimeter, size=32)
-    phi = np.arcsin(rng.uniform(-1, 1, size=32))
-    s1, phi1, tau, comp, flag = step_batch(table, s, phi)
-    for i in range(32):
-        r = next_collision(table, PhasePoint(s[i], phi[i]))
-        assert r.point.s == s1[i]
-        assert r.point.phi == phi1[i]
-        assert r.tau == tau[i]
-        assert r.component == comp[i]
-
-
-def test_batch_split_is_bit_identical():
-    table = make("sinai")
+@pytest.mark.parametrize("name", CLASSES)
+def test_batch_split_is_bit_identical(name):
+    """Every class's kernel gives each lane the same bytes in one-lane and
+    seven-lane calls as in one 64-lane call."""
+    table = make(name)
     rng = np.random.default_rng(9)
     s = rng.uniform(0, table.perimeter, size=64)
     phi = np.arcsin(rng.uniform(-1, 1, size=64))
     whole = step_batch(table, s, phi)
-    parts = [step_batch(table, s[i:i + 7], phi[i:i + 7])
-             for i in range(0, 64, 7)]
-    for k in range(5):
-        merged = np.concatenate([p[k] for p in parts])
-        assert np.array_equal(whole[k], merged)
+    for width in (1, 7):
+        parts = [step_batch(table, s[i:i + width], phi[i:i + width])
+                 for i in range(0, 64, width)]
+        merged = [np.concatenate(p) for p in zip(*parts)]
+        assert _same_bytes(whole, merged), width
 
 
 @pytest.mark.parametrize("name", ["squash", "open_sinai"])
@@ -498,6 +496,37 @@ def test_long_flights_do_not_depend_on_their_batch(table_name):
 
 
 # ------------------------------------------------------- wavefront curvature
+# The curvature law below is the reference the tangent maps are checked
+# against; the package itself never propagates curvature.
+
+class FocalPointError(ValueError):
+    """Wavefront focuses exactly at the next collision; curvature undefined."""
+
+
+def curvature_evolve(B_plus, tau, K_next, phi_next):
+    """Propagate post-collisional wavefront curvature through one flight.
+
+    Free flight acts on the inverse curvature, 1/B_in(next) = tau + 1/B_out,
+    and the collision adds 2 K / cos(phi).  Returns (B_minus_next,
+    B_plus_next).  math.inf encodes the flat-fiber limit 1/B = 0.
+    """
+    if tau <= 0.0:
+        raise ValueError(f"flight time must be positive, got {tau}")
+    inv_b = 0.0 if math.isinf(B_plus) else (math.inf if B_plus == 0.0 else 1.0 / B_plus)
+    denom = tau + inv_b
+    if denom == 0.0:
+        raise FocalPointError("wavefront focuses exactly at the next collision")
+    B_minus = 0.0 if math.isinf(denom) else 1.0 / denom
+    B_plus_next = B_minus + 2.0 * K_next / math.cos(phi_next)
+    return B_minus, B_plus_next
+
+
+def expansion_factor(B_plus, tau):
+    """Per-flight expansion |1 + tau * B_plus| in the p-metric cos(phi)|ds|."""
+    if not (math.isfinite(B_plus) and math.isfinite(tau)):
+        raise ValueError("expansion factor needs finite curvature and flight time")
+    return abs(1.0 + tau * B_plus)
+
 
 def test_curvature_evolution_from_flat_wavefront():
     b_minus, b_plus = curvature_evolve(math.inf, 0.5, 5.0, 0.0)
@@ -530,7 +559,7 @@ def test_expansion_matches_jacobian_growth_on_symmetry_orbit():
     assert b == pytest.approx(1 / (0.6 + 1 / b) + 10, rel=1e-12)
     lam = expansion_factor(b, 0.6)
     table = make("sinai")
-    M = tangent_map(table, PhasePoint(0.0, 0.0))
+    M = tangent_at(table, 0.0, 0.0)
     eigs = np.abs(np.linalg.eigvals(M))
     assert lam == pytest.approx(eigs.max(), rel=1e-12)
     assert lam == pytest.approx(4 + math.sqrt(15), rel=1e-12)
@@ -561,69 +590,48 @@ def test_slope_propagation_matches_jacobian_chain():
 
 def test_grazing_impact_flagged():
     table = make("sinai")
-    r = next_collision(table, PhasePoint(0.0, math.pi / 2 - 1e-9))
-    assert r.flag == FLAG_GRAZING
-    with pytest.raises(SingularOrbit):
-        billiard_map(table, PhasePoint(0.0, math.pi / 2 - 1e-9))
+    flag = step_batch(table, [0.0], [math.pi / 2 - 1e-9])[4]
+    assert flag[0] == FLAG_GRAZING
 
 
 def test_corner_impact_flagged():
     table = make("stadium")
     # from the middle of the top flat straight at the (1,-1) junction
     phi = math.atan2(-1.0, 2.0)
-    r = next_collision(table, PhasePoint(3.0 + math.pi, phi))
-    assert r.flag == FLAG_CORNER
+    assert step_batch(table, [3.0 + math.pi], [phi])[4][0] == FLAG_CORNER
 
 
 def test_unfold_overflow_flagged(monkeypatch):
     table = make("sinai")
     monkeypatch.setattr(dynamics, "UNFOLD_MAX_CELLS", 1)
-    r = next_collision(table, PhasePoint(0.1, 0.3))
-    assert r.flag == FLAG_UNFOLD
-    rec = orbit(table, PhasePoint(0.1, 0.3), 10)
-    assert rec.flag == FLAG_UNFOLD
-    assert rec.n_steps == 0
+    assert step_batch(table, [0.1], [0.3])[4][0] == FLAG_UNFOLD
+    assert observed(table, 0.1, 0.3, 10) == ([], 1, FLAG_UNFOLD)
 
 
 def test_regular_step_is_ok_flag():
     table = make("stadium")
-    assert next_collision(table, PhasePoint(1.0, 0.1)).flag == FLAG_OK
-
-
-def test_orbit_records_hole_hits():
-    table = make("sinai")
-    hole = make_hole(table, 0.3, 0.05)
-    x0 = PhasePoint(0.1, 0.3)
-    rec = orbit(table, x0, 200, hole=hole)
-    assert rec.flag == FLAG_OK
-    assert rec.n_steps == 200
-    # replay the same orbit by scalar steps and collect indices by hand
-    x = x0
-    manual = []
-    for i in range(1, 201):
-        x = billiard_map(table, x)
-        if hole.contains(x.s):
-            manual.append(i)
-    assert list(rec.hits) == manual
-    assert len(manual) > 0
-    assert all(i >= 1 for i in rec.hits)
+    assert step_batch(table, [1.0], [0.1])[4][0] == FLAG_OK
 
 
 def test_orbit_seed_inside_hole_not_counted():
+    """march observes collisions 1, 2, ...: the seed, inside the hole, is
+    never seen as a hit."""
     table = make("sinai")
     hole = make_hole(table, 0.3, 0.05)
-    rec = orbit(table, PhasePoint(0.3, 0.2), 50, hole=hole)
-    assert 0 not in rec.hits
+    assert hole.contains(0.3)
+    seen, step, kind = observed(table, 0.3, 0.2, 50)
+    assert [j for j, *_ in seen] == list(range(1, 51))
+    assert (step, kind) == (51, FLAG_OK)
 
 
 def test_orbit_censors_on_grazing():
     table = make("sinai")
-    rec = orbit(table, PhasePoint(0.0, math.pi / 2 - 1e-9), 50)
-    assert rec.flag == FLAG_GRAZING
-    assert rec.n_steps == 0
+    seen = observed(table, 0.0, math.pi / 2 - 1e-9, 50)
+    assert seen == ([], 1, FLAG_GRAZING)
 
 
 def test_orbit_component_tracking():
     table = make("stadium")
-    rec = orbit(table, PhasePoint(0.3, 0.2), 8)
-    assert list(rec.components) == [t[3] for t in FROZEN_TRACE["stadium"]]
+    seen, step, kind = observed(table, *SEEDS["stadium"], 8)
+    assert [c for *_, c in seen] == [t[3] for t in FROZEN_TRACE["stadium"]]
+    assert (step, kind) == (9, FLAG_OK)

@@ -10,7 +10,6 @@ from openbilliards import (
     GeometryError,
     build_table,
     cut_stadium_components,
-    locate,
     make_hole,
     regular_flower_components,
     validate_table,
@@ -62,43 +61,49 @@ def test_semi_dispersing_perimeter():
 
 # ------------------------------------------------------------------- locate
 
+def boundary_at(t, s):
+    """locate_batch at one arclength: (position, normal, curvature)."""
+    b = locate_batch(t, [s])
+    return (b["x"][0], b["y"][0]), (b["nx"][0], b["ny"][0]), b["K"][0]
+
+
 def test_locate_sinai_cardinal_points():
     t = sinai()
-    b = locate(t, 0.0)
-    assert_allclose(b.position, (0.7, 0.5), atol=1e-15)
+    position, normal, _ = boundary_at(t, 0.0)
+    assert_allclose(position, (0.7, 0.5), atol=1e-15)
     # inward table normal points away from the scatterer
-    assert_allclose(b.normal, (1.0, 0.0), atol=1e-15)
-    b = locate(t, math.pi * 0.2)
-    assert_allclose(b.position, (0.3, 0.5), atol=1e-12)
-    assert_allclose(b.normal, (-1.0, 0.0), atol=1e-12)
-    assert b.curvature == pytest.approx(5.0)
+    assert_allclose(normal, (1.0, 0.0), atol=1e-15)
+    position, normal, K = boundary_at(t, math.pi * 0.2)
+    assert_allclose(position, (0.3, 0.5), atol=1e-12)
+    assert_allclose(normal, (-1.0, 0.0), atol=1e-12)
+    assert K == pytest.approx(5.0)
 
 
 def test_locate_stadium_flat():
     t = build_table("stadium", flat_length=2.0)
-    b = locate(t, 1.0)
-    assert_allclose(b.position, (0.0, -1.0), atol=1e-15)
-    assert_allclose(b.normal, (0.0, 1.0), atol=1e-15)
-    assert b.curvature == 0.0
-    assert not b.corner
+    position, normal, K = boundary_at(t, 1.0)
+    assert_allclose(position, (0.0, -1.0), atol=1e-15)
+    assert_allclose(normal, (0.0, 1.0), atol=1e-15)
+    assert K == 0.0
+    assert not t.near_junction(1.0)
 
 
 def test_locate_stadium_cap():
     t = build_table("stadium", flat_length=2.0)
-    b = locate(t, 2.0 + math.pi / 2)  # middle of the right cap
-    assert_allclose(b.position, (2.0, 0.0), atol=1e-12)
-    assert_allclose(b.normal, (-1.0, 0.0), atol=1e-12)
-    assert b.curvature == pytest.approx(-1.0)
+    position, normal, K = boundary_at(t, 2.0 + math.pi / 2)  # right cap middle
+    assert_allclose(position, (2.0, 0.0), atol=1e-12)
+    assert_allclose(normal, (-1.0, 0.0), atol=1e-12)
+    assert K == pytest.approx(-1.0)
 
 
 def test_locate_wraps_and_flags_corners():
     t = build_table("stadium", flat_length=2.0)
-    assert locate(t, 2.0).corner
-    assert locate(t, t.perimeter).corner      # wraps to s=0, a junction
-    assert not locate(t, 1.3).corner
-    b1 = locate(t, 0.25)
-    b2 = locate(t, 0.25 + 3 * t.perimeter)
-    assert_allclose(b1.position, b2.position, atol=1e-12)
+    # the perimeter wraps to s = 0, a junction
+    s = np.array([2.0, t.perimeter, 1.3]) % t.perimeter
+    assert t.near_junction(s).tolist() == [True, True, False]
+    b = locate_batch(t, [0.25, 0.25 + 3 * t.perimeter])
+    assert_allclose(b["x"][0], b["x"][1], atol=1e-12)
+    assert_allclose(b["y"][0], b["y"][1], atol=1e-12)
 
 
 def test_locate_tangent_normal_frame():
@@ -117,7 +122,7 @@ def test_locate_tangent_normal_frame():
 
 def test_loop_seam_is_not_a_corner():
     t = sinai()
-    assert not locate(t, 0.0).corner
+    assert not t.near_junction(0.0)
 
 
 def semi():
@@ -146,7 +151,7 @@ def flower_after_loop():
         "flower-chain-start", "flower-loop-seam"])
 def test_chain_closing_corners(make, s_of, corner):
     t = make()
-    assert locate(t, s_of(t)).corner == corner
+    assert t.near_junction(s_of(t)) == corner
 
 
 # ----------------------------------------------------------------- builders

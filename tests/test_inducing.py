@@ -2,15 +2,13 @@ import numpy as np
 import pytest
 
 from openbilliards import build_table
-from openbilliards.dynamics import PhasePoint, step_batch
+from openbilliards.dynamics import step_batch
 from openbilliards.geometry import regular_flower_components
 from openbilliards.inducing import (
     BaseReturns,
-    ExtendedPhasePoint,
+    _returns_batch,
     base_mask,
     base_returns,
-    in_base,
-    return_time,
     sample_base_points,
 )
 
@@ -38,35 +36,36 @@ def semi():
                        centers=[(1.0, 0.5)], radii=[0.3])
 
 
-def ext(s, phi, now, prev=None):
-    return ExtendedPhasePoint(PhasePoint(s, phi), now, prev)
+def members(table, pairs):
+    """base_mask over (current, previous) component pairs; a previous
+    component of -1 means no history."""
+    now, prev = np.array(pairs).T
+    return base_mask(table, now, prev).tolist()
 
 
 def test_in_base_stadium(stadium):
-    assert in_base(stadium, ext(2.5, 0.1, 1, 0))       # cap entered from flat
-    assert in_base(stadium, ext(2.5, 0.1, 1, 3))       # from the other cap
-    assert in_base(stadium, ext(2.5, 0.1, 1, None))    # no history counts
-    assert not in_base(stadium, ext(2.5, 0.1, 1, 1))   # sliding along one cap
-    assert not in_base(stadium, ext(0.5, 0.1, 0, 1))   # flats never in X
-    assert not in_base(stadium, ext(0.5, 0.1, 0, None))
+    assert members(stadium, [
+        (1, 0),      # cap entered from flat
+        (1, 3),      # from the other cap
+        (1, -1),     # no history counts
+        (1, 1),      # sliding along one cap
+        (0, 1),      # flats never in X
+        (0, -1),
+    ]) == [True, True, True, False, False, False]
 
 
 def test_in_base_sinai(sinai):
-    assert in_base(sinai, ext(0.1, 0.0, 0, 0))
-    assert in_base(sinai, ext(0.1, 0.0, 0, None))
+    assert members(sinai, [(0, 0), (0, -1)]) == [True, True]
 
 
 def test_in_base_flower(flower):
     # all petals are focusing: only fresh entries count
-    assert in_base(flower, ext(0.1, 0.0, 0, 1))
-    assert not in_base(flower, ext(0.1, 0.0, 0, 0))
+    assert members(flower, [(0, 1), (0, 0)]) == [True, False]
 
 
 def test_in_base_semi(semi):
     # 0..3 are walls, 4 is the scatterer
-    assert in_base(semi, ext(0.0, 0.0, 4, 0))
-    assert in_base(semi, ext(0.0, 0.0, 4, 4))
-    assert not in_base(semi, ext(0.5, 0.0, 0, 4))
+    assert members(semi, [(4, 0), (4, 4), (0, 4)]) == [True, True, False]
 
 
 def test_base_mask_fresh_history(stadium):
@@ -74,27 +73,21 @@ def test_base_mask_fresh_history(stadium):
     assert mask.tolist() == [True, False, False]
 
 
-def test_return_time_requires_base(stadium):
-    with pytest.raises(ValueError, match="base"):
-        return_time(stadium, ext(0.5, 0.1, 0, 1))
-
-
 def test_return_time_replay(stadium):
     (s, phi, comp), _, _ = sample_base_points(stadium, 200, seed=12)
     assert s.size > 10
+    R, cap_hit, flagged = _returns_batch(stadium, s[:5], phi[:5], comp[:5],
+                                         100_000)
+    assert not (cap_hit.any() or flagged.any())
+    assert np.all(R >= 1)
     for i in range(5):
-        x = ext(s[i], phi[i], int(comp[i]))
-        sample = return_time(stadium, x)
-        assert not sample.censored
-        assert sample.R >= 1
         # replay: intermediate collisions are outside X, step R lands in it
-        cs, cphi, prev = np.array([s[i]]), np.array([phi[i]]), int(comp[i])
-        for j in range(1, sample.R + 1):
+        cs, cphi, prev = s[i:i + 1], phi[i:i + 1], comp[i:i + 1]
+        for j in range(1, R[i] + 1):
             cs, cphi, _, now, flag = step_batch(stadium, cs, cphi)
             assert flag[0] == 0
-            hit = in_base(stadium, ext(cs[0], cphi[0], int(now[0]), prev))
-            assert hit == (j == sample.R)
-            prev = int(now[0])
+            assert base_mask(stadium, now, prev)[0] == (j == R[i])
+            prev = now
 
 
 def test_kac_exact_on_dispersing(sinai):

@@ -18,11 +18,9 @@ from openbilliards.dynamics import (
     FLAG_LOST,
     FLAG_OK,
     FLAG_UNFOLD,
-    PhasePoint,
-    orbit,
 )
 from openbilliards.geometry import locate_batch, regular_flower_components
-from openbilliards.inducing import ExtendedPhasePoint, base_mask, return_time
+from openbilliards.inducing import _returns_batch, base_mask
 from openbilliards.measure import SrbSampler
 from openbilliards.openstats import collect_hitting, collect_hitting_family
 
@@ -196,55 +194,70 @@ def test_unequal_requests_equal_separate_calls(monkeypatch):
                           ((family[1], 0), (family[2], 25), (family[0], 40)))
 
 
-def test_family_matches_scalar_orbits():
-    # an independent reference: each orbit replayed alone, to each hole's
-    # own horizon, with the induced counter rebuilt from its components
-    table = TABLES["stadium"]()
-    holes = [make_hole(table, 1.0, r) for r in (0.05, 0.02)]
+@pytest.mark.parametrize("name", ["stadium", "sinai"])
+def test_family_matches_scalar_orbits(name):
+    # an independent reference: each orbit replayed alone by one-lane
+    # steps, to each hole's own horizon, its hits read off the hole and
+    # its induced counter rebuilt from its components
+    table = TABLES[name]()
+    center = {"stadium": 1.0, "sinai": 0.3}[name]
+    holes = [make_hole(table, center, r) for r in (0.05, 0.02)]
     family = collect_hitting_family(table, [(h, 8, 1.0) for h in holes], 2)
     s, phi = SrbSampler(table, 2).sample(8)
     comp0 = locate_batch(table, s)["component"]
     for hole, data in zip(holes, family):
         for i in range(8):
-            rec = orbit(table, PhasePoint(s[i], phi[i]), data.horizon,
-                        hole=hole)
-            comps = np.concatenate([[comp0[i]], rec.components])
-            entries = np.cumsum(base_mask(table, comps[1:], comps[:-1]))
+            lane, prev = (s[i:i + 1], phi[i:i + 1]), comp0[i:i + 1]
+            entries, hits = 0, []
+            for j in range(1, data.horizon + 1):
+                *lane, _, now, flag = dynamics.step_batch(table, *lane)
+                assert flag[0] == FLAG_OK
+                entries += int(base_mask(table, now, prev)[0])
+                if hole.contains(lane[0][0]):
+                    hits.append((j, entries))
+                prev = now
             sel = data.hit_orbit == i
-            assert np.array_equal(data.hit_index[sel], rec.hits)
-            assert np.array_equal(data.hit_induced[sel],
-                                  entries[rec.hits - 1])
-            assert data.final_induced[i] == entries[-1]
+            got = zip(data.hit_index[sel], data.hit_induced[sel])
+            assert list(got) == hits
+            assert data.final_induced[i] == entries
             assert data.censor_step[i] == data.horizon + 1
+        assert data.hit_orbit.size > 0
+
+
+def observed(table, s0, phi0, horizon):
+    """One lane marched: (j, s, phi, component) at each observed collision,
+    then the lane's censor step and kind."""
+    seen = []
+
+    def observe(j, lanes, s, phi, comp, prev):
+        seen.append((j, float(s[0]), float(phi[0]), int(comp[0])))
+
+    step, kind, _ = dynamics.march(table, [s0], [phi0], horizon, observe)
+    return seen, int(step[0]), int(kind[0])
 
 
 def test_orbit_censored_at_injected_step(monkeypatch):
     table = TABLES["stadium"]()
-    hole = make_hole(table, 1.0, 0.5)
-    x0 = PhasePoint(0.3, 0.2)
-    clean = orbit(table, x0, 40, hole=hole)
-    before = orbit(table, x0, 11, hole=hole)
+    clean, step, _ = observed(table, 0.3, 0.2, 40)
+    assert step == 41
     real = dynamics.step_batch
     for code in (FLAG_CORNER, FLAG_UNFOLD):
         monkeypatch.setattr(dynamics, "step_batch",
                             flag_at(real, {12: [(0, code)]}))
-        rec = orbit(table, x0, 40, hole=hole)
-        assert rec.censored and rec.flag == code
-        assert rec.n_steps == 11
-        assert rec.final == before.final
-        assert list(rec.hits) == [i for i in clean.hits if i < 12]
-        assert rec.components.size == 11
+        seen, step, kind = observed(table, 0.3, 0.2, 40)
+        assert (step, kind) == (12, code)
+        assert seen == clean[:11]
 
 
 def test_return_time_censored_at_injected_step(monkeypatch):
     table = TABLES["stadium"]()
     # component 1 of the stadium is an arc: arriving from a flat is an entry
-    x = ExtendedPhasePoint(PhasePoint(3.0, 0.2), current_component=1,
-                           previous_component=0)
+    s, phi, comp = np.array([3.0]), np.array([0.2]), np.array([1])
     assert table.components[1].kind == "arc"
-    clean = return_time(table, x)
-    assert not clean.censored and clean.R >= 1
+    assert base_mask(table, comp, [0])[0]
+    R, cap_hit, flagged = _returns_batch(table, s, phi, comp, 100_000)
+    assert not (cap_hit[0] or flagged[0]) and R[0] >= 1
     monkeypatch.setattr(dynamics, "step_batch", flag_at(
-        dynamics.step_batch, {clean.R: [(0, FLAG_GRAZING)]}))
-    cut = return_time(table, x)
-    assert cut.censored and cut.R == 0
+        dynamics.step_batch, {int(R[0]): [(0, FLAG_GRAZING)]}))
+    cut, cap_hit, flagged = _returns_batch(table, s, phi, comp, 100_000)
+    assert flagged[0] and not cap_hit[0] and cut[0] == 0
