@@ -2,10 +2,12 @@
 
 Cones live in tangent (dq, dphi) coordinates and are intervals of slope
 dphi/dq.  On dispersing or flat components the unstable cone is [K, +inf]
-(vertical included); on focusing arcs it is [K, 0].  Stable cones are the
-time-reversal mirrors, so the stable invariance check reuses the forward
-scan at angle-reflected points instead of inverting the collision solver.
-The scan maps one row of start vectors (one per point) at a time and keeps
+(vertical included); on focusing arcs it is [K, 0].  The stable cone is its
+time-reversal mirror [-hi, -lo], so the stable check is the unstable check
+of the inverse map.  One step serves both: reflected, the image (s1, -phi1)
+flies back the same tau to (s, -phi), so the inverse map's Jacobian is the
+forward formula with the two ends swapped, and the scan steps its points
+once.  It maps one row of start vectors (one per point) at a time and keeps
 running tallies, the violation count, the minimum margin and the pair
 count; each is exact, so the report equals one taken over all rows at once.
 """
@@ -17,19 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import FLAG_OK, tangent_map_batch
+from .dynamics import FLAG_OK, jacobian, tangent_map_batch
 from .measure import SrbSampler
 
 
-def _cone_edges(K, kind="unstable"):
-    """(lo, hi) slope edges of the cone over host curvature K (arrays or
-    scalars): [K, inf] for the unstable cone, [K, 0] on a focusing arc."""
-    if kind == "unstable":
-        return K, np.where(K < 0, 0.0, np.inf)
-    if kind == "stable":
-        # mirror image of the unstable cone under (dq, dphi) -> (dq, -dphi)
-        return np.where(K < 0, 0.0, -np.inf), -K
-    raise ValueError(f"unknown cone kind {kind!r}")
+def _cone_edges(K):
+    """(lo, hi) slope edges of the unstable cone over host curvature K
+    (arrays or scalars): [K, inf], or [K, 0] on a focusing arc."""
+    return K, np.where(K < 0, 0.0, np.inf)
 
 
 @dataclass(frozen=True)
@@ -61,20 +58,14 @@ def _start_vector(K, j, n_vectors):
     return 1.0, np.where(K < 0, K * (1.0 - t), K + math.tan(t * math.pi / 2))
 
 
-def _scan_once(table, s, phi, n_vectors):
-    """Forward unstable-cone invariance over one point ensemble.
+def _scan_once(M, K0, K1, c1, tau, n_vectors):
+    """Unstable-cone invariance of the maps M from points over curvature K0
+    to images over K1 with cos(phi1) = c1 after flights tau.
 
     Tallies one vector row at a time, so no array holds n_vectors rows.
-    Returns the tallies and the uncensored images (s1, phi1) of the points.
+    Returns (violations, worst margin, vertical-fiber minimum margin,
+    transversality count).
     """
-    bg = table._bg
-    K0 = bg.K[bg.component(s)]
-    M, (s1, phi1, tau, comp, flag) = tangent_map_batch(table, s, phi)
-    ok = flag == FLAG_OK
-    K0, M, s1, phi1, tau = K0[ok], M[ok], s1[ok], phi1[ok], tau[ok]
-    # an impact clamped to its component's end sits on a junction and is
-    # censored, so on uncensored lanes the hit component's K is K at s1
-    K1 = bg.K[comp[ok]]
     lo1, hi1 = _cone_edges(K1)
     open1 = np.isinf(hi1)
 
@@ -97,47 +88,39 @@ def _scan_once(table, s, phi, n_vectors):
         worst = np.minimum(worst, margin.min(initial=math.inf))
 
     # vertical fiber must land strictly inside the image cone
-    vsl = K1 + np.cos(phi1) / tau
+    vsl = K1 + c1 / tau
     vm = np.minimum(vsl - lo1, np.where(open1, np.inf, hi1 - vsl))
 
-    # interiors of C^u and its stable mirror may never overlap
-    s_lo, s_hi = _cone_edges(K1, "stable")
-    o_lo = np.maximum(lo1, s_lo)
-    o_hi = np.minimum(hi1, s_hi)
-    trans_bad = int(np.count_nonzero(o_lo < o_hi))
-
-    return {
-        "pairs": n_vectors * int(tau.size),
-        "violations": violations,
-        "worst": float(worst),
-        "vertical_min": float(vm.min()) if vm.size else math.inf,
-        "trans": int(trans_bad),
-        "censored": int((~ok).sum()),
-        "total": int(ok.size),
-    }, s1, phi1
+    # interiors of C^u and its stable mirror [-hi, -lo] may never overlap
+    trans = np.count_nonzero(np.maximum(lo1, -hi1) < np.minimum(hi1, -lo1))
+    return (violations, float(worst),
+            float(vm.min()) if vm.size else math.inf, int(trans))
 
 
 def cone_invariance_scan(table, n_points, n_vectors, seed):
-    """Checks Df C^u(x) inside C^u(f x) over an SRB ensemble.
+    """Checks Df C^u(x) inside C^u(f x) and its stable mirror over an SRB
+    ensemble, from one step of the sampled points.
 
-    Runs the forward scan twice: once on sampled points (unstable cones) and
-    once on the angle-reflected images (equivalent, by time reversal, to the
-    stable-cone check under the inverse map).  Violations are counted with a
-    slope tolerance scaled by the magnitudes involved.
+    The unstable tally reads the forward maps.  The stable tally reads the
+    inverse maps at the reflected images, which by time reversal are the
+    forward Jacobian with the ends swapped: start cone over K1, image cone
+    over K0.  Censored lanes drop out of both.  Violations are counted with
+    a slope tolerance scaled by the magnitudes involved.
     """
     s, phi = SrbSampler(table, seed).sample(n_points)
-    fwd, s1, phi1 = _scan_once(table, s, phi, n_vectors)
-
-    # stable side: unstable invariance at the reflected image ensemble
-    rev, _, _ = _scan_once(table, s1, -phi1, n_vectors)
-
-    total = fwd["total"] + rev["total"]
-    censored = fwd["censored"] + rev["censored"]
+    bg = table._bg
+    M, (_, phi1, tau, comp, flag) = tangent_map_batch(table, s, phi)
+    ok = flag == FLAG_OK
+    K0, K1 = bg.K[bg.component(s[ok])], bg.K[comp[ok]]
+    c0, c1, tau = np.cos(phi[ok]), np.cos(phi1[ok]), tau[ok]
+    fwd = _scan_once(M[ok], K0, K1, c1, tau, n_vectors)
+    rev = _scan_once(jacobian(tau, K1, K0, c1, c0), K1, K0, c0, tau,
+                     n_vectors)
     return ConeScanReport(
-        n_pairs=fwd["pairs"] + rev["pairs"],
-        n_violations=fwd["violations"] + rev["violations"],
-        worst_margin=min(fwd["worst"], rev["worst"]),
-        vertical_min_margin=min(fwd["vertical_min"], rev["vertical_min"]),
-        transversality_violations=fwd["trans"] + rev["trans"],
-        censored_fraction=censored / max(total, 1),
+        n_pairs=2 * n_vectors * int(tau.size),
+        n_violations=fwd[0] + rev[0],
+        worst_margin=min(fwd[1], rev[1]),
+        vertical_min_margin=min(fwd[2], rev[2]),
+        transversality_violations=fwd[3] + rev[3],
+        censored_fraction=int(np.count_nonzero(~ok)) / max(ok.size, 1),
     )

@@ -13,6 +13,7 @@ boundary's components lives in the table's batch geometry: locate_batch
 gives the start point and normal, nearest is the one ray-boundary test (at
 cell offset (0, 0) on a bounded table; on the torus, at each cell a ray
 enters, its own first) and impact maps the hit back to arclength and normal.
+jacobian is the one Df formula; tangent_map_batch applies it to each step.
 The torus walk goes in blocks of cells, one nearest call per block for
 every lane still walking, so a batch with one corridor flight pays numpy
 dispatch per block rather than per cell of that flight.  A call wider than
@@ -241,24 +242,30 @@ def march(table, s, phi, horizon, observe, comp=None):
     return censor_step, censor_kind, lanes
 
 
-def tangent_map_batch(table, s, phi):
-    """Collision-map derivative at each lane, plus the underlying step data.
-
-    Returns (M, step) where M has shape (n, 2, 2) acting on (ds, dphi) and
-    step is the (s1, phi1, tau, comp1, flag) tuple.
-    """
-    bg = table._bg
-    s = np.asarray(s, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    K0 = bg.K[bg.component(s % bg.perimeter)]
-    s1, phi1, tau, comp, flag = step_batch(table, s, phi)
-    K1 = bg.K[bg.component(s1)]
-    c0, c1 = np.cos(phi), np.cos(phi1)
+def jacobian(tau, K0, K1, c0, c1):
+    """Df on (ds, dphi), shape (n, 2, 2), of flights tau from curvature K0
+    at cos(phi) = c0 to curvature K1 at cos(phi1) = c1."""
     with np.errstate(divide="ignore", invalid="ignore"):
         f = -1.0 / c1
-        M = np.empty(s.shape + (2, 2))
+        M = np.empty(np.shape(tau) + (2, 2))
         M[..., 0, 0] = f * (tau * K0 + c0)
         M[..., 0, 1] = f * tau
         M[..., 1, 0] = f * (tau * K0 * K1 + K0 * c1 + K1 * c0)
         M[..., 1, 1] = f * (tau * K1 + c1)
+    return M
+
+
+def tangent_map_batch(table, s, phi):
+    """Collision-map derivative at each lane, plus the underlying step data.
+
+    Returns (M, step) where M has shape (n, 2, 2) acting on (ds, dphi) and
+    step is the (s1, phi1, tau, comp1, flag) tuple.  K at s1 is read
+    through comp1, exact on unflagged lanes (a junction impact is flagged).
+    """
+    bg = table._bg
+    s = np.asarray(s, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    s1, phi1, tau, comp, flag = step_batch(table, s, phi)
+    M = jacobian(tau, bg.K[bg.component(s % bg.perimeter)], bg.K[comp],
+                 np.cos(phi), np.cos(phi1))
     return M, (s1, phi1, tau, comp, flag)

@@ -7,8 +7,9 @@ several (hole, n_orbits, t_max) requests in one march.  Every statistic is a
 reduction of the collected HittingData: the first-hitting survival law and
 its KS distance to Exp(1), both read from the one first-hit sample, interval
 counts against Poisson (total variation), short-return fractions in induced
-time and the quasi-section defect of hole excursions.  Orbit i always owns sampler draws 2i, 2i+1, so results are
-bit-identical no matter how the work would be scheduled.
+time and the quasi-section defect of hole excursions.  Orbit i always owns
+sampler draws 2i, 2i+1, so results are bit-identical no matter how the work
+would be scheduled.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .dynamics import march, step_batch  # noqa: F401
 from .inducing import base_mask
 from .measure import SrbSampler, ks_statistic
 
-TV_TAIL_K = 20   # Poisson mass beyond this is < 1e-13 for lambda <= 3
 CHECK_T_MAX = 20.0   # normalized horizon of the short-return and quasi checks
 
 
@@ -283,10 +283,11 @@ def count_statistics(data, intervals):
     """Interval counts versus the Poisson limit law.
 
     Counts hits with normalized time in (a, b] per orbit, skipping (and
-    tallying) orbits censored before the largest endpoint.  TV distances lump
-    the Poisson tail at k = 20; correlations are plain Pearson between the
-    per-orbit counts of interval pairs.  Statistics of too few eligible
-    orbits are NaN: TV and means with none, correlations with fewer than 2.
+    tallying) orbits censored before the largest endpoint.  TV distances are
+    exact at any interval length: the Poisson mass past the largest count
+    enters whole.  Correlations are plain Pearson between the per-orbit
+    counts of interval pairs.  Statistics of too few eligible orbits are
+    NaN: TV and means with none, correlations with fewer than 2.
     """
     iv = [(float(a), float(b)) for a, b in intervals]
     if not iv:
@@ -314,12 +315,9 @@ def count_statistics(data, intervals):
     n = counts.shape[0]
     tv = np.full(len(iv), np.nan)
     for k, (a, b) in enumerate(iv if n else ()):
-        lam = b - a
-        pmf = poisson_pmf(lam, TV_TAIL_K)
-        emp = np.bincount(np.minimum(counts[:, k], TV_TAIL_K),
-                          minlength=TV_TAIL_K + 1) / n
-        model = np.concatenate([pmf, [max(1.0 - pmf.sum(), 0.0)]])
-        tv[k] = 0.5 * np.abs(emp - model).sum()
+        emp = np.bincount(counts[:, k]) / n
+        pmf = poisson_pmf(b - a, emp.size)
+        tv[k] = 0.5 * (np.abs(emp - pmf).sum() + max(1.0 - pmf.sum(), 0.0))
 
     if n < 2:
         corr = np.full((len(iv), len(iv)), np.nan)

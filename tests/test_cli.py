@@ -186,6 +186,55 @@ def test_run_csv_digests_are_pinned(sinai_cfg, tmp_path):
     assert got == SINAI_DIGESTS
 
 
+# SINAI_CFG's run on the stadium, hole on a flat: sha256 of every CSV
+STADIUM_CFG = {"version": 1, "table": {"class": "stadium", "flat_length": 2.0},
+               "hole": {"center_s": 1.0, "radii": [0.05, 0.02]},
+               "run": SINAI_CFG["run"]}
+STADIUM_DIGESTS = {
+    "r_0.02/counts.csv":
+        "2fcbf63c0e2d3c9e328c1684150db5b900e6e26a5a1bf2b82a25bd0f3de2d4c5",
+    "r_0.02/hits.csv":
+        "0991a55e64578caab23c30e77d60f99aec2c5aabf149ab378652f15dafe39253",
+    "r_0.02/survival.csv":
+        "38e878e0e1f015566d3a962bbf10ad72138562c5a059927d61ebaf536730c632",
+    "r_0.05/counts.csv":
+        "83131de78b2465a586461c7ba67e042cebae94663dc49f16e0e4ee3b5ac8fff2",
+    "r_0.05/hits.csv":
+        "2bc9203245ac960c257e866a6bce67f8766010817e0436198bec5c3395d5ce25",
+    "r_0.05/survival.csv":
+        "1fe48433ce2e351ee61c2e89beadd02701b032db1d57a1c8b1679e81729d2dfd",
+}
+# sha256 of the squash's `inducing` and `check invariants` outputs at
+# 20000 samples and seed 11
+SQUASH_CFG = {"version": 1, "table": {"class": "squash", "r1": 0.6, "r2": 1.0,
+                                      "center_distance": 2.0},
+              "run": {"seed": 11}}
+SQUASH_DIGESTS = {
+    "inducing.json":
+        "263aa4fc60188f1827dafb821fb022e8253d15367e376c47700408f83ef14b89",
+    "invariants.json":
+        "7a417191e7881584109a3b03272edc1f3870bbca188c128ec2b3f7b8e5799f87",
+    "return_tail.csv":
+        "65608293ec4bf751d95f48573fec93ae795ffb99ab45006561658f466601c741",
+}
+
+
+def test_bounded_table_digests_are_pinned(tmp_path):
+    """Bounded-table outputs, byte for byte: flats, arcs with ends, corner
+    flags and the stadium-like base masks.  Refactors that keep the
+    arithmetic must leave these digests as they are."""
+    out = tmp_path / "o"
+    assert main(["run", write_cfg(tmp_path / "s.yaml", STADIUM_CFG),
+                 "--out", str(out)]) == 0
+    squash = write_cfg(tmp_path / "q.yaml", SQUASH_CFG)
+    for command in (["inducing"], ["check", "invariants"]):
+        assert main(command + [squash, "--out", str(out),
+                               "--samples", "20000"]) == 0
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+           for name in {**STADIUM_DIGESTS, **SQUASH_DIGESTS}}
+    assert got == {**STADIUM_DIGESTS, **SQUASH_DIGESTS}
+
+
 def test_run_seed_override_changes_hits(sinai_cfg, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(["run", sinai_cfg, "--out", str(a)]) == 0

@@ -6,6 +6,7 @@ rounding per step amplified by the orbit's Lyapunov growth, with generous
 headroom; component indices must match exactly.
 """
 
+import hashlib
 import math
 import tracemalloc
 
@@ -297,6 +298,41 @@ def test_batch_split_is_bit_identical(name):
                  for i in range(0, 64, width)]
         merged = [np.concatenate(p) for p in zip(*parts)]
         assert _same_bytes(whole, merged), width
+
+
+# sha256 of 4 chained step_batch calls on 2000 SRB lanes (seed 3, stream 1),
+# the five arrays of each step in turn, flagged lanes dropped between steps
+STEP_DIGESTS = {
+    "sinai":
+        "a0b3e65e860a9ca133419f50ab12fe605e687ec949286e020ae3dfa5c2e406fb",
+    "stadium":
+        "270c1696264ea0b049b997282c4010a3fbc0a2aa1829ccc71ede10204e1b1b95",
+    "squash":
+        "5677df24f541aa4e51c1b29fc6c5d74fbdb01845c2d14f76ae3391aa51af3ed6",
+    "diamond":
+        "ced0405679b67d6a0c70bcca97c942df13e78de6c6dfe14d9af2ec19d88ab1b5",
+    "flower":
+        "82baca5fe2c3a8136f8caf71373f65f35f999fc1533f71f374b1228244f01779",
+    "semi":
+        "c0d220918f53f9b4b63d7e69f192857d3e7cc726680b9170d2097aca365e0249",
+}
+
+
+@pytest.mark.parametrize("name", CLASSES)
+def test_step_chain_digests_are_pinned(name):
+    """Every class's kernel bytes over four collisions: flats, arcs with
+    ends, the arc-span test and the corner flags.  Refactors that keep the
+    arithmetic must leave these digests as they are."""
+    table = make(name)
+    s, phi = SrbSampler(table, 3, 1).sample(2000)
+    digest = hashlib.sha256()
+    for _ in range(4):
+        step = step_batch(table, s, phi)
+        for a in step:
+            digest.update(a.tobytes())
+        ok = step[4] == FLAG_OK
+        s, phi = step[0][ok], step[1][ok]
+    assert digest.hexdigest() == STEP_DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", ["squash", "open_sinai"])

@@ -187,6 +187,28 @@ def test_counts_all_zero_tv():
     assert rep.means[0] == 0.0
 
 
+def poisson_quantile_counts(lam, n):
+    """Counts of n orbits at the Poisson(lam) quantiles (i + 1/2) / n."""
+    cdf = np.cumsum(poisson_pmf(lam, 10 * int(lam) + 20))
+    return np.searchsorted(cdf, (np.arange(n) + 0.5) / n)
+
+
+def counts_data(counts, t_max):
+    """Orbit i hits counts[i] times, all early in (0, t_max]."""
+    hits = [(i, j + 1) for i, c in enumerate(counts) for j in range(c)]
+    return synth(0.01, len(counts), t_max, hits)
+
+
+def test_counts_tv_is_exact_on_long_intervals():
+    """On an interval of length 40 the TV tells hits that come in pairs,
+    counts 2 * Poisson(20), from Poisson(40) counts: a tail lumped at a
+    fixed count would hide most of both laws' mass there."""
+    paired = counts_data(2 * poisson_quantile_counts(20.0, 4000), 40.0)
+    poisson = counts_data(poisson_quantile_counts(40.0, 4000), 40.0)
+    assert count_statistics(paired, [(0.0, 40.0)]).tv[0] >= 0.4
+    assert count_statistics(poisson, [(0.0, 40.0)]).tv[0] <= 0.01
+
+
 def test_counts_exact_poisson_draws():
     rng = np.random.default_rng(1)
     n = 50000
