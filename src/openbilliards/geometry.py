@@ -9,7 +9,8 @@ dispersing walls (domain outside the circle), -1/rho on focusing walls
 
 The component classes hold parameters only.  The map between arclength and
 (point, inward normal), both ways, is written once, in the batch geometry a
-table caches (Table._bg), which locate_batch, the kernel and the checks read.
+table caches (Table._bg), which locate_batch, the kernel, the checks and
+validate_table read: the validator measures through the kernel's projection.
 """
 
 from __future__ import annotations
@@ -256,8 +257,9 @@ class Table:
 
 class _BatchGeometry:
     """Flat numpy view of a table's components and the only arithmetic on
-    them: the forward map (frame), the ray test (nearest), the inverse map
-    (impact)."""
+    them: the forward map (frame), the ray test (nearest) and the
+    closest-point map (project), which the inverse map (impact) and the
+    validator's distances (distance) read."""
 
     def __init__(self, table):
         comps = table.components
@@ -278,7 +280,6 @@ class _BatchGeometry:
         self.theta_ref = np.zeros(n)
         self.tdir = np.zeros(n)
         self.span = np.zeros(n)
-        self.sigma = np.zeros(n)
         for i, c in enumerate(comps):
             if c.kind == "flat":
                 self.p0[i] = c.p0
@@ -292,7 +293,6 @@ class _BatchGeometry:
                 self.theta_ref[i] = c.theta1 if c.dispersing else c.theta0
                 self.tdir[i] = -1.0 if c.dispersing else 1.0
                 self.span[i] = c.span
-                self.sigma[i] = 1.0 if c.dispersing else -1.0
 
     def component(self, s):
         """The arclength -> component lookup, for s already reduced mod the
@@ -318,8 +318,8 @@ class _BatchGeometry:
             ct, st = np.cos(th), np.sin(th)
             x[arc] = self.center[i, 0] + self.rho[i] * ct
             y[arc] = self.center[i, 1] + self.rho[i] * st
-            nx[arc] = self.sigma[i] * ct
-            ny[arc] = self.sigma[i] * st
+            nx[arc] = -self.tdir[i] * ct
+            ny[arc] = -self.tdir[i] * st
         return x, y, nx, ny
 
     @cached_property
@@ -397,11 +397,12 @@ class _BatchGeometry:
             comp[upd] = j
         return tau, comp
 
-    def impact(self, comp, hx, hy, ox, oy):
-        """The inverse map: arclength s1 (mod the perimeter) and inward
-        normal (nx, ny) at the impact points (hx, hy) on components comp,
-        whose cell offset is (ox, oy), scalars or one per lane.  The
-        within-component arclength is clamped to the component."""
+    def project(self, comp, hx, hy, ox, oy):
+        """The closest-point map: arclength u into component comp (at cell
+        offset (ox, oy), scalars or one per lane) of its point nearest
+        (hx, hy), and the inward normal (nx, ny) at the polar angle of
+        (hx, hy) on arcs.  u is clamped to the component; past an arc's span
+        the gap is split at its middle, so the nearer end is taken."""
         nx, ny, u = (np.empty_like(hx) for _ in range(3))
         arc = self.is_arc[comp]
         if np.any(arc):
@@ -409,11 +410,11 @@ class _BatchGeometry:
             cx = self.center[i, 0] + (ox[arc] if np.ndim(ox) else ox)
             cy = self.center[i, 1] + (oy[arc] if np.ndim(oy) else oy)
             th = np.arctan2(hy[arc] - cy, hx[arc] - cx)
-            nx[arc] = self.sigma[i] * np.cos(th)
-            ny[arc] = self.sigma[i] * np.sin(th)
+            nx[arc] = -self.tdir[i] * np.cos(th)
+            ny[arc] = -self.tdir[i] * np.sin(th)
             raw = self._turn(i, th)
             span = self.span[i]
-            # hits numerically just before the traversal start wrap to ~2*pi
+            # points just before the traversal start wrap to ~2*pi
             over = raw > span + 0.5 * (TWO_PI - span)
             raw = np.where(over & ~self.loop[i], raw - TWO_PI, raw)
             u[arc] = np.clip(raw, 0.0, span) * self.rho[i]
@@ -425,7 +426,20 @@ class _BatchGeometry:
             proj = ((hx[fl] - self.p0[i, 0]) * self.tang[i, 0]
                     + (hy[fl] - self.p0[i, 1]) * self.tang[i, 1])
             u[fl] = np.clip(proj, 0.0, self.length[i])
+        return u, nx, ny
+
+    def impact(self, comp, hx, hy, ox, oy):
+        """The inverse map: arclength s1 (mod the perimeter) and inward
+        normal (nx, ny) at the impact points (hx, hy) on components comp,
+        through project."""
+        u, nx, ny = self.project(comp, hx, hy, ox, oy)
         return (self.s_off[comp] + u) % self.perimeter, nx, ny
+
+    def distance(self, comp, px, py):
+        """Euclidean distance from the points (px, py) to components comp:
+        to the point project finds."""
+        x, y, _, _ = self.frame(comp, self.project(comp, px, py, 0.0, 0.0)[0])
+        return np.hypot(px - x, py - y)
 
 
 def locate_batch(table, s):
@@ -654,42 +668,13 @@ def cut_stadium_components(flat_length, half_gap):
 # validation
 
 
-def _seg_min_dist(p, seg):
-    tx, ty = seg.tangent
-    wx, wy = p[0] - seg.p0[0], p[1] - seg.p0[1]
-    t = min(max(wx * tx + wy * ty, 0.0), seg.length)
-    return math.hypot(wx - t * tx, wy - t * ty)
-
-
-def _in_span(arc, theta):
-    return (theta - arc.theta0) % TWO_PI <= arc.span or arc.loop
-
-
-def _dist_to_nearest(p, points):
-    return min(math.hypot(p[0] - q[0], p[1] - q[1]) for q in points)
-
-
-def _component_min_dist(p, comp, ends):
-    """Distance from p to comp, whose two end points are ends."""
-    if comp.kind == "flat":
-        return _seg_min_dist(p, comp)
-    dx, dy = p[0] - comp.center[0], p[1] - comp.center[1]
-    d = math.hypot(dx, dy)
-    if d == 0.0:
-        return comp.radius
-    if _in_span(comp, math.atan2(dy, dx)):
-        return abs(d - comp.radius)
-    return _dist_to_nearest(p, ends)
-
-
 def _circle_circle_points(c0, r0, c1, r1):
     dx, dy = c1[0] - c0[0], c1[1] - c0[1]
     d = math.hypot(dx, dy)
     if d == 0.0 or d > r0 + r1 or d < abs(r0 - r1):
         return []
     a = (d * d + r0 * r0 - r1 * r1) / (2.0 * d)
-    h2 = r0 * r0 - a * a
-    h = math.sqrt(max(h2, 0.0))
+    h = math.sqrt(max(r0 * r0 - a * a, 0.0))
     mx, my = c0[0] + a * dx / d, c0[1] + a * dy / d
     if h == 0.0:
         return [(mx, my)]
@@ -697,74 +682,76 @@ def _circle_circle_points(c0, r0, c1, r1):
     return [(mx + ox, my + oy), (mx - ox, my - oy)]
 
 
-def _line_circle_points(seg, center, radius):
+def _carrier_points(ca, cb):
+    """The points where the full lines or circles carrying two components
+    meet.  Parallel lines and concentric circles yield instead the midpoints
+    between consecutive component ends along the first carrier: where the
+    carriers coincide, one of these lies on both components exactly when
+    the two overlap."""
+    if ca.kind == "arc" and cb.kind == "arc":
+        if math.dist(ca.center, cb.center) > 0.0:
+            return _circle_circle_points(ca.center, ca.radius,
+                                         cb.center, cb.radius)
+        th = sorted(t % TWO_PI for c in (ca, cb) for t in (c.theta0, c.theta1))
+        mids = [(a + b) / 2.0 for a, b in zip(th, th[1:] + [th[0] + TWO_PI])]
+        return [(ca.center[0] + ca.radius * math.cos(m),
+                 ca.center[1] + ca.radius * math.sin(m)) for m in mids]
+    seg, other = (ca, cb) if ca.kind == "flat" else (cb, ca)
     tx, ty = seg.tangent
-    wx, wy = center[0] - seg.p0[0], center[1] - seg.p0[1]
-    along = wx * tx + wy * ty
-    perp2 = (wx - along * tx) ** 2 + (wy - along * ty) ** 2
-    h2 = radius * radius - perp2
-    if h2 < 0.0:
-        return []
-    h = math.sqrt(h2)
-    out = []
-    for t in (along - h, along + h):
-        out.append((seg.p0[0] + t * tx, seg.p0[1] + t * ty, t))
-    return out
-
-
-def _pair_crossings(ca, cb, ends, tol):
-    """Proper intersection points of two components, touches at any of their
-    end points (ends) excluded."""
-    pts = []
-    if ca.kind == "flat" and cb.kind == "flat":
-        ax, ay = ca.tangent
-        bx, by = cb.tangent
-        den = ax * by - ay * bx
+    if other.kind == "flat":
+        bx, by = other.tangent
+        wx, wy = other.p0[0] - seg.p0[0], other.p0[1] - seg.p0[1]
+        den = tx * by - ty * bx
         if abs(den) > 1e-14:
-            wx, wy = cb.p0[0] - ca.p0[0], cb.p0[1] - ca.p0[1]
-            t = (wx * by - wy * bx) / den
-            u = (wx * ay - wy * ax) / den
-            if -tol <= t <= ca.length + tol and -tol <= u <= cb.length + tol:
-                pts.append((ca.p0[0] + t * ax, ca.p0[1] + t * ay))
-    elif ca.kind == "arc" and cb.kind == "arc":
-        for p in _circle_circle_points(ca.center, ca.radius, cb.center, cb.radius):
-            tha = math.atan2(p[1] - ca.center[1], p[0] - ca.center[0])
-            thb = math.atan2(p[1] - cb.center[1], p[0] - cb.center[0])
-            if _in_span(ca, tha) and _in_span(cb, thb):
-                pts.append(p)
+            ts = [(wx * by - wy * bx) / den]
+        else:
+            t = sorted([0.0, seg.length, wx * tx + wy * ty,
+                        (other.p1[0] - seg.p0[0]) * tx
+                        + (other.p1[1] - seg.p0[1]) * ty])
+            ts = [(a + b) / 2.0 for a, b in zip(t, t[1:])]
     else:
-        seg, arc = (ca, cb) if ca.kind == "flat" else (cb, ca)
-        for x, y, t in _line_circle_points(seg, arc.center, arc.radius):
-            if -tol <= t <= seg.length + tol:
-                th = math.atan2(y - arc.center[1], x - arc.center[0])
-                if _in_span(arc, th):
-                    pts.append((x, y))
-    return [p for p in pts if _dist_to_nearest(p, ends) > tol]
+        wx, wy = other.center[0] - seg.p0[0], other.center[1] - seg.p0[1]
+        along = wx * tx + wy * ty
+        h2 = other.radius * other.radius - ((wx - along * tx) ** 2
+                                            + (wy - along * ty) ** 2)
+        ts = [along - math.sqrt(h2), along + math.sqrt(h2)] if h2 >= 0.0 else []
+    return [(seg.p0[0] + t * tx, seg.p0[1] + t * ty) for t in ts]
 
 
 def validate_table(table):
     """Geometric health report: list of Violations, empty when clean.
 
-    Checks pairwise component crossings, cusps (tangential junctions) and
-    the separated focusing condition for every focusing arc (its full circle
-    must not pass strictly through or contain any other component).  The
+    Checks pairwise component crossings and overlaps, cusps (tangential
+    junctions) and the separated focusing condition for every focusing arc
+    (its full circle must not pass strictly through or contain any other
+    component), every distance through the kernel's closest-point map.  The
     class-specific arc-span rules are the builders' (flower, squash): a
     table that breaks one is never built.
     """
     comps = table.components
+    bg = table._bg
     out = []
     tol = 1e-9 * table.diameter
-    (x0, y0, nx0, ny0), (x1, y1, nx1, ny1) = table._bg.ends
-    ends = [((x0[i], y0[i]), (x1[i], y1[i])) for i in range(len(comps))]
+    (x0, y0, nx0, ny0), (x1, y1, nx1, ny1) = bg.ends
 
-    # pairwise proper intersections
-    for i in range(len(comps)):
-        for j in range(i + 1, len(comps)):
-            pts = _pair_crossings(comps[i], comps[j], ends[i] + ends[j], tol)
-            if pts:
-                px, py = pts[0]
-                out.append(Violation("components_intersect", (i, j),
-                                     f"cross near ({px:.6g}, {py:.6g})"))
+    # a proper crossing is a carrier meeting point on both components and
+    # more than tol from all four of their ends; the first one per pair counts
+    cand = [(i, j, *p) for i in range(len(comps))
+            for j in range(i + 1, len(comps))
+            for p in _carrier_points(comps[i], comps[j])]
+    if cand:
+        i, j, px, py = (np.array(v) for v in zip(*cand))
+        ex = np.stack((x0[i], x1[i], x0[j], x1[j]))
+        ey = np.stack((y0[i], y1[i], y0[j], y1[j]))
+        proper = ((bg.distance(i, px, py) <= tol)
+                  & (bg.distance(j, px, py) <= tol)
+                  & (np.hypot(px - ex, py - ey).min(axis=0) > tol))
+        first = {}
+        for k in np.flatnonzero(proper):
+            first.setdefault((int(i[k]), int(j[k])), k)
+        out += [Violation("components_intersect", pair,
+                          f"cross near ({px[k]:.6g}, {py[k]:.6g})")
+                for pair, k in first.items()]
 
     # cusps at junctions: traversal tangent (ny, -nx) reverses
     for a, b in table.chains:
@@ -777,19 +764,19 @@ def validate_table(table):
                 out.append(Violation("cusp", (i, jn),
                                      "tangential junction (zero interior angle)"))
 
-    # separated focusing condition
+    # separated focusing condition: one distance call per focusing arc, from
+    # its centre to every other component
     for i, c in enumerate(comps):
         if c.kind != "arc" or c.dispersing:
             continue
-        for j, other in enumerate(comps):
-            if j == i:
-                continue
-            d = _component_min_dist(c.center, other, ends[j])
-            if d < c.radius - tol:
-                out.append(Violation(
-                    "sfc", (i, j),
+        others = np.flatnonzero(np.arange(len(comps)) != i)
+        d = bg.distance(others, np.full(others.size, bg.center[i, 0]),
+                        np.full(others.size, bg.center[i, 1]))
+        out += [Violation(
+                    "sfc", (i, int(j)),
                     f"full circle of focusing arc {i} reaches component {j} "
-                    f"(min distance {d:.6g} < radius {c.radius:.6g})"))
+                    f"(min distance {dj:.6g} < radius {c.radius:.6g})")
+                for j, dj in zip(others, d) if dj < c.radius - tol]
     return out
 
 

@@ -624,6 +624,21 @@ def test_enforce_fails_closed_on_undefined_statistics(command, cfg, statistic,
     assert err.count("threshold breach") == 1
 
 
+def polygon(*verts):
+    return [{"kind": "flat", "p0": list(p), "p1": list(q)}
+            for p, q in zip(verts, verts[1:] + verts[:1])]
+
+
+# flats 0 and 4 overlap on y = 0 between x = 1 and 2, where orbits leak out
+SLIT = {"class": "flower", "components": polygon(
+    (0, 0), (3, 0), (3, 1), (2, 1), (2, 0), (1, 0), (1, 1), (0, 1))}
+# two copies of one scatterer loop: the second is never hit, yet sampled
+TWIN_LOOPS = {"class": "flower", "components": polygon(
+    (0, 0), (2, 0), (2, 1), (0, 1)) + 2 * [
+        {"kind": "arc", "center": [1.0, 0.5], "radius": 0.3, "theta0": 0.0,
+         "theta1": 2 * math.pi, "dispersing": True}]}
+
+
 @pytest.mark.parametrize("change, message", [
     ({"run": {**SINAI_CFG["run"], "intervals": [[0.0, 1.0], [1.0, 4.0]]}},
      "past run.t_max"),
@@ -663,6 +678,8 @@ def test_enforce_fails_closed_on_undefined_statistics(command, cfg, statistic,
         {"kind": "arc", "center": [0.0, 0.0], "radius": 1.0, "theta0": 0.0,
          "theta1": 2 * math.pi, "dispersing": "false"}]}},
      "component 0 dispersing must be true or false"),
+    ({"table": SLIT}, "[components_intersect] components (0,4)"),
+    ({"table": TWIN_LOOPS}, "[components_intersect] components (4,5)"),
 ])
 def test_run_rejects_bad_config_before_marching(change, message, tmp_path,
                                                 capsys, monkeypatch):
