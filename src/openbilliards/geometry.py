@@ -11,6 +11,8 @@ The component classes hold parameters only.  The map between arclength and
 (point, inward normal), both ways, is written once, in the batch geometry a
 table caches (Table._bg), which locate_batch, the kernel, the checks and
 validate_table read: the validator measures through the kernel's projection.
+Each map runs one formula per lane, and the ray test checks an arc's span
+with one dot product, so the kernel takes one arctan2 per arc impact.
 """
 
 from __future__ import annotations
@@ -259,7 +261,11 @@ class _BatchGeometry:
     """Flat numpy view of a table's components and the only arithmetic on
     them: the forward map (frame), the ray test (nearest) and the
     closest-point map (project), which the inverse map (impact) and the
-    validator's distances (distance) read."""
+    validator's distances (distance) read.  frame and project run both
+    kinds' formulas on every lane and pick one (a flat's arc values are
+    finite).  A hit lies in an open arc's span when (hit - centre) . mid >=
+    rho cos_half: mid is the arc's mid direction, cos_half the cosine of
+    its half span plus an angular slack."""
 
     def __init__(self, table):
         comps = table.components
@@ -293,6 +299,10 @@ class _BatchGeometry:
                 self.theta_ref[i] = c.theta1 if c.dispersing else c.theta0
                 self.tdir[i] = -1.0 if c.dispersing else 1.0
                 self.span[i] = c.span
+        mid = self.theta_ref + self.tdir * self.span / 2.0
+        self.mid = np.stack((np.cos(mid), np.sin(mid)), axis=1)
+        self.cos_half = np.cos(np.minimum(
+            self.span / 2.0 + 1e-9 * np.maximum(self.span, 1e-3), math.pi))
 
     def component(self, s):
         """The arclength -> component lookup, for s already reduced mod the
@@ -303,49 +313,22 @@ class _BatchGeometry:
     def frame(self, idx, u):
         """(x, y, nx, ny): boundary point and inward normal at arclength u
         into component idx.  The traversal tangent is (ny, -nx)."""
-        x, y, nx, ny = (np.empty_like(u) for _ in range(4))
         arc = self.is_arc[idx]
-        fl = ~arc
-        if np.any(fl):
-            i = idx[fl]
-            x[fl] = self.p0[i, 0] + u[fl] * self.tang[i, 0]
-            y[fl] = self.p0[i, 1] + u[fl] * self.tang[i, 1]
-            nx[fl] = self.norm[i, 0]
-            ny[fl] = self.norm[i, 1]
-        if np.any(arc):
-            i = idx[arc]
-            th = self.theta_ref[i] + self.tdir[i] * u[arc] / self.rho[i]
-            ct, st = np.cos(th), np.sin(th)
-            x[arc] = self.center[i, 0] + self.rho[i] * ct
-            y[arc] = self.center[i, 1] + self.rho[i] * st
-            nx[arc] = -self.tdir[i] * ct
-            ny[arc] = -self.tdir[i] * st
-        return x, y, nx, ny
+        rho, tdir = self.rho[idx], self.tdir[idx]
+        th = self.theta_ref[idx] + tdir * u / rho
+        ct, st = np.cos(th), np.sin(th)
+        return (np.where(arc, self.center[idx, 0] + rho * ct,
+                         self.p0[idx, 0] + u * self.tang[idx, 0]),
+                np.where(arc, self.center[idx, 1] + rho * st,
+                         self.p0[idx, 1] + u * self.tang[idx, 1]),
+                np.where(arc, -tdir * ct, self.norm[idx, 0]),
+                np.where(arc, -tdir * st, self.norm[idx, 1]))
 
     @cached_property
     def ends(self):
         """The frame of every component at its start and at its end."""
         idx = np.arange(self.n)
         return self.frame(idx, np.zeros(self.n)), self.frame(idx, self.length)
-
-    def _turn(self, comp, theta):
-        """Angle turned along arc comp's traversal from its start to the
-        polar angle theta, in [0, 2*pi)."""
-        return (self.tdir[comp] * (theta - self.theta_ref[comp])) % TWO_PI
-
-    def _on_arc(self, j, px, py, dx, dy, cx, cy, r, below):
-        """r where the ray meets arc j (centre (cx, cy), scalars: only loops,
-        which skip this test, take per-lane cell offsets) inside its angular
-        span, inf elsewhere; only lanes with r < below are tested."""
-        sel = np.flatnonzero(r < below)
-        th = np.arctan2(py[sel] + r[sel] * dy[sel] - cy,
-                        px[sel] + r[sel] * dx[sel] - cx)
-        raw = self._turn(j, th)
-        slack = 1e-9 * max(self.span[j], 1e-3)
-        sel = sel[(raw <= self.span[j] + slack) | (raw >= TWO_PI - slack)]
-        out = np.full(r.size, np.inf)
-        out[sel] = r[sel]
-        return out
 
     def nearest(self, px, py, dx, dy, ox, oy, guard):
         """The ray-boundary test: earliest hit, beyond guard, of the rays
@@ -367,9 +350,12 @@ class _BatchGeometry:
                 r2 = -b + sq
                 r2 = np.where(hitable & (r2 > guard), r2, np.inf)
                 if not self.loop[j]:
-                    r1 = self._on_arc(j, px, py, dx, dy, cx, cy, r1, np.inf)
-                    # r2 >= r1, so r2 matters only where r1 missed the span
-                    r2 = self._on_arc(j, px, py, dx, dy, cx, cy, r2, r1)
+                    r1, r2 = (np.where(
+                        (relx + t * dx) * self.mid[j, 0]
+                        + (rely + t * dy) * self.mid[j, 1]
+                        >= self.rho[j] * self.cos_half[j], r, np.inf)
+                        for r in (r1, r2)
+                        for t in [np.where(r < np.inf, r, 0.0)])
                 cand = np.minimum(r1, r2)
             else:
                 p0x, p0y = self.p0[j, 0] + ox, self.p0[j, 1] + oy
@@ -398,35 +384,25 @@ class _BatchGeometry:
         return tau, comp
 
     def project(self, comp, hx, hy, ox, oy):
-        """The closest-point map: arclength u into component comp (at cell
-        offset (ox, oy), scalars or one per lane) of its point nearest
-        (hx, hy), and the inward normal (nx, ny) at the polar angle of
-        (hx, hy) on arcs.  u is clamped to the component; past an arc's span
-        the gap is split at its middle, so the nearer end is taken."""
-        nx, ny, u = (np.empty_like(hx) for _ in range(3))
+        """The closest-point map: arclength u into component comp (arc
+        centres shifted by the cell offset (ox, oy), scalars or one per lane)
+        of its point nearest (hx, hy), and the inward normal (nx, ny) at the
+        polar angle of (hx, hy) on arcs.  u is clamped to the component; past
+        an arc's span the gap is split at its middle: the nearer end."""
+        tdir, span = self.tdir[comp], self.span[comp]
+        th = np.arctan2(hy - (self.center[comp, 1] + oy),
+                        hx - (self.center[comp, 0] + ox))
+        # turn from the traversal start; points just before it wrap to ~2*pi
+        raw = (tdir * (th - self.theta_ref[comp])) % TWO_PI
+        over = raw > span + 0.5 * (TWO_PI - span)
+        raw = np.where(over & ~self.loop[comp], raw - TWO_PI, raw)
+        proj = ((hx - self.p0[comp, 0]) * self.tang[comp, 0]
+                + (hy - self.p0[comp, 1]) * self.tang[comp, 1])
         arc = self.is_arc[comp]
-        if np.any(arc):
-            i = comp[arc]
-            cx = self.center[i, 0] + (ox[arc] if np.ndim(ox) else ox)
-            cy = self.center[i, 1] + (oy[arc] if np.ndim(oy) else oy)
-            th = np.arctan2(hy[arc] - cy, hx[arc] - cx)
-            nx[arc] = -self.tdir[i] * np.cos(th)
-            ny[arc] = -self.tdir[i] * np.sin(th)
-            raw = self._turn(i, th)
-            span = self.span[i]
-            # points just before the traversal start wrap to ~2*pi
-            over = raw > span + 0.5 * (TWO_PI - span)
-            raw = np.where(over & ~self.loop[i], raw - TWO_PI, raw)
-            u[arc] = np.clip(raw, 0.0, span) * self.rho[i]
-        fl = ~arc
-        if np.any(fl):
-            i = comp[fl]
-            nx[fl] = self.norm[i, 0]
-            ny[fl] = self.norm[i, 1]
-            proj = ((hx[fl] - self.p0[i, 0]) * self.tang[i, 0]
-                    + (hy[fl] - self.p0[i, 1]) * self.tang[i, 1])
-            u[fl] = np.clip(proj, 0.0, self.length[i])
-        return u, nx, ny
+        return (np.where(arc, np.clip(raw, 0.0, span) * self.rho[comp],
+                         np.clip(proj, 0.0, self.length[comp])),
+                np.where(arc, -tdir * np.cos(th), self.norm[comp, 0]),
+                np.where(arc, -tdir * np.sin(th), self.norm[comp, 1]))
 
     def impact(self, comp, hx, hy, ox, oy):
         """The inverse map: arclength s1 (mod the perimeter) and inward
@@ -684,10 +660,11 @@ def _circle_circle_points(c0, r0, c1, r1):
 
 def _carrier_points(ca, cb):
     """The points where the full lines or circles carrying two components
-    meet.  Parallel lines and concentric circles yield instead the midpoints
-    between consecutive component ends along the first carrier: where the
-    carriers coincide, one of these lies on both components exactly when
-    the two overlap."""
+    meet, followed, for two flats, by the midpoints between consecutive
+    component ends along the first line; concentric circles yield those
+    midpoints along the first circle instead.  Where the carriers coincide
+    or nearly do, one midpoint lies on both components exactly when the two
+    overlap."""
     if ca.kind == "arc" and cb.kind == "arc":
         if math.dist(ca.center, cb.center) > 0.0:
             return _circle_circle_points(ca.center, ca.radius,
@@ -702,13 +679,11 @@ def _carrier_points(ca, cb):
         bx, by = other.tangent
         wx, wy = other.p0[0] - seg.p0[0], other.p0[1] - seg.p0[1]
         den = tx * by - ty * bx
-        if abs(den) > 1e-14:
-            ts = [(wx * by - wy * bx) / den]
-        else:
-            t = sorted([0.0, seg.length, wx * tx + wy * ty,
-                        (other.p1[0] - seg.p0[0]) * tx
-                        + (other.p1[1] - seg.p0[1]) * ty])
-            ts = [(a + b) / 2.0 for a, b in zip(t, t[1:])]
+        t = sorted([0.0, seg.length, wx * tx + wy * ty,
+                    (other.p1[0] - seg.p0[0]) * tx
+                    + (other.p1[1] - seg.p0[1]) * ty])
+        ts = [(wx * by - wy * bx) / den] if abs(den) > 1e-14 else []
+        ts += [(a + b) / 2.0 for a, b in zip(t, t[1:])]
     else:
         wx, wy = other.center[0] - seg.p0[0], other.center[1] - seg.p0[1]
         along = wx * tx + wy * ty

@@ -632,6 +632,9 @@ def polygon(*verts):
 # flats 0 and 4 overlap on y = 0 between x = 1 and 2, where orbits leak out
 SLIT = {"class": "flower", "components": polygon(
     (0, 0), (3, 0), (3, 1), (2, 1), (2, 0), (1, 0), (1, 1), (0, 1))}
+# the slit with one side tilted by 1e-13
+TILTED_SLIT = {"class": "flower", "components": polygon(
+    (0, 0), (3, 0), (3, 1), (2, 1), (2, 1e-13), (1, 0), (1, 1), (0, 1))}
 # two copies of one scatterer loop: the second is never hit, yet sampled
 TWIN_LOOPS = {"class": "flower", "components": polygon(
     (0, 0), (2, 0), (2, 1), (0, 1)) + 2 * [
@@ -680,6 +683,7 @@ TWIN_LOOPS = {"class": "flower", "components": polygon(
      "component 0 dispersing must be true or false"),
     ({"table": SLIT}, "[components_intersect] components (0,4)"),
     ({"table": TWIN_LOOPS}, "[components_intersect] components (4,5)"),
+    ({"table": TILTED_SLIT}, "[components_intersect] components (0,4)"),
 ])
 def test_run_rejects_bad_config_before_marching(change, message, tmp_path,
                                                 capsys, monkeypatch):

@@ -26,7 +26,7 @@ from openbilliards import (
     step_batch,
 )
 from openbilliards.dynamics import march, tangent_map_batch
-from openbilliards.geometry import locate_batch
+from openbilliards.geometry import cut_stadium_components, locate_batch
 from openbilliards.measure import SrbSampler
 
 
@@ -315,15 +315,19 @@ STEP_DIGESTS = {
         "82baca5fe2c3a8136f8caf71373f65f35f999fc1533f71f374b1228244f01779",
     "semi":
         "c0d220918f53f9b4b63d7e69f192857d3e7cc726680b9170d2097aca365e0249",
+    # cap circles that cross both flats: the span test rejects hits each step
+    "cut_stadium":
+        "1e02c9b383fda41b1259d1432e989a45be0995bb74da091b8eb416cfbf3a7774",
 }
 
 
-@pytest.mark.parametrize("name", CLASSES)
+@pytest.mark.parametrize("name", list(STEP_DIGESTS))
 def test_step_chain_digests_are_pinned(name):
     """Every class's kernel bytes over four collisions: flats, arcs with
     ends, the arc-span test and the corner flags.  Refactors that keep the
     arithmetic must leave these digests as they are."""
-    table = make(name)
+    table = (build_table("flower", components=cut_stadium_components(2.0, 0.75))
+             if name == "cut_stadium" else make(name))
     s, phi = SrbSampler(table, 3, 1).sample(2000)
     digest = hashlib.sha256()
     for _ in range(4):
@@ -635,6 +639,33 @@ def test_corner_impact_flagged():
     # from the middle of the top flat straight at the (1,-1) junction
     phi = math.atan2(-1.0, 2.0)
     assert step_batch(table, [3.0 + math.pi], [phi])[4][0] == FLAG_CORNER
+
+
+@pytest.mark.parametrize("name", ["stadium", "squash", "diamond", "flower"])
+def test_rays_at_arc_ends(name):
+    """From where the inward normal 0.05 rad inside an open arc's end lands,
+    rays aimed at the arc's circle 1e-3 and 1e-6 rad inside the end hit the
+    arc, one aimed at the end is a corner hit, and one aimed 1e-6 rad past
+    the end hits another component."""
+    table = make(name)
+    for j, c in enumerate(table.components):
+        if c.kind != "arc" or c.loop:
+            continue
+        for end, inward in ((c.theta0, 1.0), (c.theta1, -1.0)):
+            th = end + inward * 0.05
+            u = c.theta1 - th if c.dispersing else th - c.theta0
+            start = step_batch(table, [table.offsets[j] + c.radius * u], [0.0])
+            assert start[4][0] == FLAG_OK
+            p = locate_batch(table, start[0])
+            aim = end + inward * np.array([1e-3, 1e-6, 0.0, -1e-6])
+            vx = c.center[0] + c.radius * np.cos(aim) - p["x"]
+            vy = c.center[1] + c.radius * np.sin(aim) - p["y"]
+            phi = np.arctan2(vx * p["ny"] - vy * p["nx"],
+                             vx * p["nx"] + vy * p["ny"])
+            _, _, _, comp, flag = step_batch(table, np.full(4, start[0]), phi)
+            case = (j, end)
+            assert list(flag) == [FLAG_OK, FLAG_OK, FLAG_CORNER, FLAG_OK], case
+            assert list(comp[[0, 1, 3]] == j) == [True, True, False], case
 
 
 def test_unfold_overflow_flagged(monkeypatch):

@@ -292,6 +292,10 @@ def loop(center, radius):
     # a slit: flats 0 and 4 overlap on y = 0 between x = 1 and 2
     (polygon((0, 0), (3, 0), (3, 1), (2, 1), (2, 0), (1, 0), (1, 1), (0, 1)),
      [(0, 4)]),
+    # the slit with one side tilted by 1e-13: the lines nearly coincide
+    (polygon((0, 0), (3, 0), (3, 1), (2, 1), (2, 1e-13), (1, 0), (1, 1),
+             (0, 1)),
+     [(0, 4)]),
     # two copies of one scatterer loop in a box
     (polygon((0, 0), (2, 0), (2, 1), (0, 1)) + 2 * [loop((1.0, 0.5), 0.3)],
      [(4, 5)]),
@@ -301,7 +305,7 @@ def loop(center, radius):
      []),
     # collinear flats that meet end to end
     (polygon((0, 0), (1, 0), (2, 0), (1, 1)), []),
-], ids=["slit", "twin-loops", "split-circle", "collinear"])
+], ids=["slit", "tilted-slit", "twin-loops", "split-circle", "collinear"])
 def test_components_on_one_carrier_overlap_only_where_they_share_length(
         components, expected):
     t = build_table("flower", components=components)
