@@ -17,15 +17,20 @@ jacobian is the one Df formula; tangent_map_batch applies it to each step.
 The torus walk goes in blocks of cells, one nearest call per block for
 every lane still walking, so a batch with one corridor flight pays numpy
 dispatch per block rather than per cell of that flight.  A call wider than
-_CHUNK lanes steps chunk by chunk into preallocated outputs, so the working
-set of a wide batch is its inputs, its outputs and one chunk's temporaries;
-every lane's arithmetic is its own, so the chunks are bit-identical to one
-whole-batch step.
+_CHUNK lanes steps piece by piece into preallocated outputs, its pieces
+shared by the calling thread and one helper thread per further CPU the
+process may run on (its CPU affinity; there is no setting).  A piece is
+_CHUNK // workers lanes wide, so at most _CHUNK lanes are in flight and the
+working set of a wide batch is its inputs, its outputs and one chunk's
+temporaries; every lane's arithmetic is its own, so the pieces are
+bit-identical to one whole-batch step whatever thread steps them.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 
 import numpy as np
 
@@ -41,7 +46,7 @@ UNFOLD_MAX_CELLS = 1000
 # then blocks twice as long, up to _BLOCK_CAP cells
 _BLOCK_FIRST = 4
 _BLOCK_CAP = 128
-# step_batch steps wider calls this many lanes at a time
+# step_batch steps wider calls at most this many lanes at a time
 _CHUNK = 2**15
 
 FLAG_OK = 0
@@ -148,14 +153,23 @@ def _unfold(bg, px, py, dx, dy, guard):
     return tau, comp, cellx, celly, lanes
 
 
+def _workers():
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def step_batch(table, s, phi):
     """One collision-to-collision step for arrays of phase coordinates.
 
     Returns (s1, phi1, tau, comp1, flag) arrays.  Lanes whose next impact is
     censored (grazing, junction hit, unfolding overflow, geometry leak) carry
     the matching flag; their outputs are best-effort and should not be
-    iterated further.  A call wider than _CHUNK lanes fills its outputs
-    _CHUNK lanes at a time, bit for bit as one whole-batch step would.
+    iterated further.  A call wider than _CHUNK lanes fills its outputs in
+    pieces of _CHUNK // workers lanes, which the calling thread and
+    workers - 1 helper threads take in turn, bit for bit as one whole-batch
+    step would; a piece's exception is raised here once every helper ended.
     """
     s = np.asarray(s, dtype=float)
     phi = np.asarray(phi, dtype=float)
@@ -163,10 +177,31 @@ def step_batch(table, s, phi):
         return _step(table, s, phi)
     out = (np.empty(s.size), np.empty(s.size), np.empty(s.size),
            np.empty(s.size, dtype=np.int64), np.empty(s.size, dtype=np.int8))
-    for i in range(0, s.size, _CHUNK):
-        chunk = slice(i, i + _CHUNK)
-        for o, part in zip(out, _step(table, s[chunk], phi[chunk])):
-            o[chunk] = part
+    # cached_property takes no lock since Python 3.12: the cached attributes
+    # _step reads are computed before any helper starts
+    table._bg, table.junction_s, table.corner_tol, table.diameter
+    workers = _workers()
+    width = _CHUNK // workers
+    starts = iter(range(0, s.size, width))
+    errors = []
+
+    def work():
+        try:
+            for i in starts:
+                piece = slice(i, i + width)
+                for o, part in zip(out, _step(table, s[piece], phi[piece])):
+                    o[piece] = part
+        except BaseException as e:
+            errors.append(e)
+
+    helpers = [threading.Thread(target=work) for _ in range(workers - 1)]
+    for h in helpers:
+        h.start()
+    work()
+    for h in helpers:
+        h.join()
+    if errors:
+        raise errors[0]
     return out
 
 

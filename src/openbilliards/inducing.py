@@ -69,8 +69,11 @@ def sample_base_points(table, n_samples, seed):
     no lane survives the burn-in, and the burn-in's censored fraction.
     """
     s, phi = SrbSampler(table, seed).sample(n_samples)
-    comp_prev = table._bg.component(s)
     s1, phi1, _, comp1, flag = step_batch(table, s, phi)
+    # the history is read after the step, so it does not sit under its peak
+    del phi
+    comp_prev = table._bg.component(s)
+    del s
     ok = flag == FLAG_OK
     member = base_mask(table, comp1, comp_prev) & ok
     mu_x = float(member.sum() / ok.sum()) if ok.any() else np.nan

@@ -8,6 +8,9 @@ headroom; component indices must match exactly.
 
 import hashlib
 import math
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -27,7 +30,8 @@ from openbilliards import (
 )
 from openbilliards.dynamics import march, tangent_map_batch
 from openbilliards.geometry import cut_stadium_components, locate_batch
-from openbilliards.measure import SrbSampler
+from openbilliards.inducing import base_returns
+from openbilliards.measure import SrbSampler, invariance_defect
 
 
 def make(name):
@@ -339,16 +343,25 @@ def test_step_chain_digests_are_pinned(name):
     assert digest.hexdigest() == STEP_DIGESTS[name]
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("name", ["squash", "open_sinai"])
-def test_chunked_step_is_bit_identical(name, monkeypatch):
-    """A call wider than _CHUNK steps in chunks; it equals, byte for byte,
-    narrower calls laid end to end, flagged lanes included."""
+def test_chunked_step_is_bit_identical(name, workers, monkeypatch):
+    """A call wider than _CHUNK steps in pieces shared by `workers` threads;
+    it equals, byte for byte, narrower calls laid end to end, flagged lanes
+    included.  The threads switch often, so a piece that no thread takes
+    would show in the bytes."""
     monkeypatch.setattr(dynamics, "UNFOLD_MAX_CELLS", 40)
+    monkeypatch.setattr(dynamics, "_workers", lambda: workers)
     table = make(name)
     n = 2 * dynamics._CHUNK + 13
     s, phi = SrbSampler(table, 1).sample(n)
     phi[::997] = math.pi / 2 - 1e-9     # tangent take-offs: grazing lanes
-    whole = step_batch(table, s, phi)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        whole = step_batch(table, s, phi)
+    finally:
+        sys.setswitchinterval(interval)
     width = dynamics._CHUNK // 3
     parts = [step_batch(table, s[i:i + width], phi[i:i + width])
              for i in range(0, n, width)]
@@ -361,6 +374,48 @@ def test_chunked_step_is_bit_identical(name, monkeypatch):
         few = step_batch(table, s[:k], phi[:k])
         assert [a.shape for a in few] == [(k,)] * 5
         assert _same_bytes(few, [a[:k] for a in whole])
+
+
+def test_wide_checks_do_not_depend_on_the_worker_count(monkeypatch):
+    """base_returns and invariance_defect over just more than two chunks
+    give the same bytes stepped by one thread as by three."""
+    table = make("squash")
+    n = 2 * dynamics._CHUNK + 13
+    runs = []
+    for workers in (1, 3):
+        monkeypatch.setattr(dynamics, "_workers", lambda: workers)
+        ret = base_returns(table, n, cap=30, seed=5)
+        inv = invariance_defect(table, n, seed=5)
+        runs.append((ret.R, ret.cap_hit, ret.flagged, np.array(ret.mu_x),
+                     np.array([inv.ks_phi, inv.ks_s, inv.n,
+                               inv.censored_fraction])))
+    assert _same_bytes(*runs)
+
+
+def test_helper_failure_is_raised_in_the_caller(monkeypatch):
+    """A piece that fails in a helper thread fails the call, once every
+    helper has ended: here the helper fails after the caller ran out of
+    pieces."""
+    monkeypatch.setattr(dynamics, "_workers", lambda: 2)
+    real_step = dynamics._step
+    helper_took_a_piece = threading.Event()
+
+    def failing_in_helpers(table, s, phi):
+        if threading.current_thread() is threading.main_thread():
+            helper_took_a_piece.wait(10.0)
+            return real_step(table, s, phi)
+        helper_took_a_piece.set()
+        time.sleep(0.5)
+        raise RuntimeWarning("piece failed in a helper")
+
+    monkeypatch.setattr(dynamics, "_step", failing_in_helpers)
+    table = make("squash")
+    s, phi = SrbSampler(table, 1).sample(2 * dynamics._CHUNK + 1)
+    before = threading.active_count()
+    with pytest.raises(RuntimeWarning, match="in a helper"):
+        step_batch(table, s, phi)
+    assert helper_took_a_piece.is_set()
+    assert threading.active_count() == before
 
 
 def _excess_peak(table, n):
