@@ -27,7 +27,6 @@ from .inducing import base_returns
 from .openstats import (
     collect_hitting,
     count_statistics,
-    ks_exp1,
     quasi_section_defect,
     short_return_fraction,
     survival_curve,

@@ -6,10 +6,12 @@ dphi/dq.  On dispersing or flat components the unstable cone is [K, +inf]
 time-reversal mirror [-hi, -lo], so the stable check is the unstable check
 of the inverse map.  One step serves both: reflected, the image (s1, -phi1)
 flies back the same tau to (s, -phi), so the inverse map's Jacobian is the
-forward formula with the two ends swapped, and the scan steps its points
-once.  It maps one row of start vectors (one per point) at a time and keeps
-running tallies, the violation count, the minimum margin and the pair
-count; each is exact, so the report equals one taken over all rows at once.
+forward formula with the two ends swapped.  The scan steps its points once
+and builds both maps with dynamics.jacobian from that flight's tau and the
+curvature and cos(phi) at its two ends.  It maps one row of start vectors
+(one per point) at a time and keeps running tallies, the violation count,
+the minimum margin and the pair count; each is exact, so the report equals
+one taken over all rows at once.
 """
 
 from __future__ import annotations
@@ -19,7 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import FLAG_OK, jacobian, tangent_map_batch
+# step_batch is read off dynamics at each call, so a kernel patched there is
+# the one the scan steps
+from . import dynamics
+from .dynamics import FLAG_OK, jacobian
 from .measure import SrbSampler
 
 
@@ -37,10 +42,6 @@ class ConeScanReport:
     vertical_min_margin: float   # strictness of the vertical-fiber image
     transversality_violations: int
     censored_fraction: float
-
-    @property
-    def clean(self):
-        return self.n_violations == 0 and self.transversality_violations == 0
 
 
 def _start_vector(K, j, n_vectors):
@@ -109,11 +110,12 @@ def cone_invariance_scan(table, n_points, n_vectors, seed):
     """
     s, phi = SrbSampler(table, seed).sample(n_points)
     bg = table._bg
-    M, (_, phi1, tau, comp, flag) = tangent_map_batch(table, s, phi)
+    _, phi1, tau, comp, flag = dynamics.step_batch(table, s, phi)
     ok = flag == FLAG_OK
     K0, K1 = bg.K[bg.component(s[ok])], bg.K[comp[ok]]
     c0, c1, tau = np.cos(phi[ok]), np.cos(phi1[ok]), tau[ok]
-    fwd = _scan_once(M[ok], K0, K1, c1, tau, n_vectors)
+    fwd = _scan_once(jacobian(tau, K0, K1, c0, c1), K0, K1, c1, tau,
+                     n_vectors)
     rev = _scan_once(jacobian(tau, K1, K0, c1, c0), K1, K0, c0, tau,
                      n_vectors)
     return ConeScanReport(

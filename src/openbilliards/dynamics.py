@@ -13,7 +13,8 @@ boundary's components lives in the table's batch geometry: locate_batch
 gives the start point and normal, nearest is the one ray-boundary test (at
 cell offset (0, 0) on a bounded table; on the torus, at each cell a ray
 enters, its own first) and impact maps the hit back to arclength and normal.
-jacobian is the one Df formula; tangent_map_batch applies it to each step.
+jacobian is the one Df formula, fed by a step's tau and the curvature and
+cos(phi) at the flight's two ends.
 The torus walk goes in blocks of cells, one nearest call per block for
 every lane still walking, so a batch with one corridor flight pays numpy
 dispatch per block rather than per cell of that flight.  A call wider than
@@ -289,18 +290,3 @@ def jacobian(tau, K0, K1, c0, c1):
         M[..., 1, 1] = f * (tau * K1 + c1)
     return M
 
-
-def tangent_map_batch(table, s, phi):
-    """Collision-map derivative at each lane, plus the underlying step data.
-
-    Returns (M, step) where M has shape (n, 2, 2) acting on (ds, dphi) and
-    step is the (s1, phi1, tau, comp1, flag) tuple.  K at s1 is read
-    through comp1, exact on unflagged lanes (a junction impact is flagged).
-    """
-    bg = table._bg
-    s = np.asarray(s, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    s1, phi1, tau, comp, flag = step_batch(table, s, phi)
-    M = jacobian(tau, bg.K[bg.component(s % bg.perimeter)], bg.K[comp],
-                 np.cos(phi), np.cos(phi1))
-    return M, (s1, phi1, tau, comp, flag)

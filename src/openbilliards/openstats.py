@@ -22,7 +22,7 @@ import numpy as np
 # step_batch stays a module attribute: perfbench's tracer test looks it up here
 from .dynamics import march, step_batch  # noqa: F401
 from .inducing import base_mask
-from .measure import SrbSampler, ks_statistic
+from .measure import SrbSampler
 
 CHECK_T_MAX = 20.0   # normalized horizon of the short-return and quasi checks
 
@@ -97,7 +97,8 @@ class HittingData:
 
         Survivors count in the sample size, and the sup runs up to the end
         of the window, past which no hit is observed; with no survivor this
-        is ks_exp1 of the sample.  NaN when no eligible orbit hit the hole.
+        is the plain KS distance of the hits to Exp(1) (measure.ks_statistic).
+        NaN when no eligible orbit hit the hole.
         """
         fh, _ = self.first_hit_sample()
         hit = np.sort(fh[np.isfinite(fh)])
@@ -253,12 +254,6 @@ def survival_curve(data, t_grid):
         t=t_grid, empirical=emp, exponential=np.exp(-t_grid),
         n_orbits=int(fh.size), excluded_fraction=excluded,
     )
-
-
-def ks_exp1(first_hits):
-    """KS statistic of a first-hitting sample against Exp(1); NaN if empty."""
-    x = np.sort(np.asarray(first_hits, dtype=float))
-    return ks_statistic(x, 1.0 - np.exp(-x))
 
 
 def poisson_pmf(lam, kmax):

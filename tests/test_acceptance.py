@@ -4,6 +4,13 @@ One test per numbered criterion; `pytest -v` prints one pass/fail line per
 criterion and each test prints its measured numbers next to the pinned
 tolerance. Statistical targets use fixed seeds and declared noise bands.
 
+Criteria 7-11 read the hitting laws of two tables, the infinite-horizon
+Sinai torus and the stadium, each from one collect_hitting_family march at
+seed 7 that holds every request of those criteria. SRB draws are
+prefix-stable, so each request gets the bytes a separate march would give.
+Criteria 7 and 8 read window_ks, the KS distance that `billiards run`
+reports.
+
 Criterion 10 (short returns) is a known red: the statistic's expected value
 at the smallest feasible hole radius is ~0.5 (sinai) / ~0.75 (stadium), far
 above the 0.02 pin, because the vanishing rate is mu^0.1. The test asserts
@@ -18,7 +25,7 @@ import pytest
 
 from openbilliards import build_table, make_hole
 from openbilliards.cones import cone_invariance_scan
-from openbilliards.dynamics import FLAG_OK, step_batch, tangent_map_batch
+from openbilliards.dynamics import FLAG_OK, step_batch
 from openbilliards.geometry import cut_stadium_components, regular_flower_components
 from openbilliards.inducing import base_returns
 from openbilliards.measure import SrbSampler, invariance_defect
@@ -26,11 +33,11 @@ from openbilliards.openstats import (
     CHECK_T_MAX,
     collect_hitting_family,
     count_statistics,
-    ks_exp1,
-    quasi_section_defect,
-    short_return_fraction,
+    short_return_orbits,
     survival_curve,
 )
+
+from helpers import tangent_map
 
 CLASS_BUILDERS = {
     "sinai_torus": lambda: build_table("sinai_torus", centers=[(0.5, 0.5)],
@@ -50,6 +57,13 @@ CLASS_BUILDERS = {
 SFC_CLASSES = ("sinai_torus", "diamond", "stadium", "squash", "flower")
 RADII = (0.05, 0.02, 0.01)
 KS_NOISE_BAND = 0.01   # declared band for monotonicity at 2e4 orbits
+# the (n_orbits, t_max) of each request kind: the hitting-law sweep of
+# criteria 7-9, the short returns of criterion 10, the quasi-section of 11
+REQUESTS = {
+    "sweep": (20000, 8.0),
+    "short": (short_return_orbits(20000, CHECK_T_MAX), CHECK_T_MAX),
+    "quasi": (3000, CHECK_T_MAX),
+}
 
 
 @pytest.fixture(scope="module")
@@ -61,30 +75,31 @@ def wrapped(d, per):
     return (d + per / 2.0) % per - per / 2.0
 
 
-def first_hit_ks(data):
-    fh, _ = data.first_hit_sample()
-    finite = fh[np.isfinite(fh)]
-    return ks_exp1(finite)
-
-
-def sweep(table, center_s, n_orbits, t_max):
-    """Hitting data per radius of RADII, all from one march at seed 7."""
-    holes = [make_hole(table, center_s, r) for r in RADII]
+def hitting_family(table, center_s, quasi_radii):
+    """Hitting data per request kind and radius, all from one march at seed
+    7: the sweep and the short returns at every radius of RADII, the
+    quasi-section at quasi_radii."""
+    keys = [(kind, r) for kind in REQUESTS
+            for r in (quasi_radii if kind == "quasi" else RADII)]
     family = collect_hitting_family(
-        table, [(hole, n_orbits, t_max) for hole in holes], 7)
-    return dict(zip(RADII, family))
+        table, [(make_hole(table, center_s, r), *REQUESTS[kind])
+                for kind, r in keys], 7)
+    out = {kind: {} for kind in REQUESTS}
+    for (kind, r), data in zip(keys, family):
+        out[kind][r] = data
+    return out
 
 
 @pytest.fixture(scope="module")
-def sinai_sweep(tables):
-    """Hitting data per radius on the dispersing table (criteria 7 and 9)."""
-    return sweep(tables["sinai_torus"], 0.3, 20000, 8.0)
+def sinai_family(tables):
+    """Criteria 7 and 9-11 on the dispersing table, hole centred at s = 0.3."""
+    return hitting_family(tables["sinai_torus"], 0.3, (0.01,))
 
 
 @pytest.fixture(scope="module")
-def stadium_sweep(tables):
-    """Hitting data per radius, hole centered on a stadium flat."""
-    return sweep(tables["stadium"], 1.0, 20000, 8.0)
+def stadium_family(tables):
+    """Criteria 8, 10 and 11 on the stadium, hole centred on a flat."""
+    return hitting_family(tables["stadium"], 1.0, RADII)
 
 
 def _fd_pass(table, s, phi, M, img, h):
@@ -121,7 +136,7 @@ def test_criterion_01_derivative_exactness(tables):
     """
     for name, table in tables.items():
         s, phi = SrbSampler(table, seed=101).sample(100000)
-        M, (s1, phi1, tau, comp, flag) = tangent_map_batch(table, s, phi)
+        M, (s1, phi1, tau, comp, flag) = tangent_map(table, s, phi)
         ok = flag == FLAG_OK
         nrm = np.sqrt((M ** 2).sum(axis=(1, 2)))
         det = M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
@@ -178,7 +193,7 @@ def test_criterion_02_involution(tables):
     for name, table in tables.items():
         per = table.perimeter
         s, phi = SrbSampler(table, seed=202).sample(100000)
-        M, (s1, phi1, _, _, f1) = tangent_map_batch(table, s, phi)
+        M, (s1, phi1, _, _, f1) = tangent_map(table, s, phi)
         s2, phi2, _, _, f2 = step_batch(table, s1, -phi1)
         ok = (f1 == FLAG_OK) & (f2 == FLAG_OK)
         nrm = np.sqrt((M ** 2).sum(axis=(1, 2)))
@@ -259,13 +274,14 @@ def test_criterion_06_return_tail_integrable(tables):
     assert slope < -1.0
 
 
-def test_criterion_07_exponential_hitting_law(sinai_sweep):
+def test_criterion_07_exponential_hitting_law(sinai_family):
     """First hitting times approach Exp(1) as the hole shrinks."""
-    ks = {r: first_hit_ks(sinai_sweep[r]) for r in RADII}
-    sc = survival_curve(sinai_sweep[0.01], np.array([0.0, 1.0]))
+    sweep = sinai_family["sweep"]
+    ks = {r: sweep[r].window_ks() for r in RADII}
+    sc = survival_curve(sweep[0.01], np.array([0.0, 1.0]))
     surv1 = float(sc.empirical[1])
     cens = max(float((d.censor_step <= d.horizon).mean())
-               for d in sinai_sweep.values())
+               for d in sweep.values())
     print(f"[criterion 7] sinai KS by radius: "
           + " ".join(f"r={r}:{ks[r]:.4f}" for r in RADII)
           + f" (non-increasing within {KS_NOISE_BAND}; last <0.05); "
@@ -277,9 +293,9 @@ def test_criterion_07_exponential_hitting_law(sinai_sweep):
     assert cens < 0.001
 
 
-def test_criterion_08_slow_mixing_robustness(stadium_sweep):
+def test_criterion_08_slow_mixing_robustness(stadium_family):
     """The same hitting law emerges on the slowly mixing stadium."""
-    ks = {r: first_hit_ks(stadium_sweep[r]) for r in RADII}
+    ks = {r: stadium_family["sweep"][r].window_ks() for r in RADII}
     print(f"[criterion 8] stadium KS by radius: "
           + " ".join(f"r={r}:{ks[r]:.4f}" for r in RADII)
           + f" (non-increasing within {KS_NOISE_BAND}; last <0.07)")
@@ -288,9 +304,10 @@ def test_criterion_08_slow_mixing_robustness(stadium_sweep):
     assert ks[0.01] < 0.07
 
 
-def test_criterion_09_poisson_counts(sinai_sweep):
+def test_criterion_09_poisson_counts(sinai_family):
     """Interval counts look Poisson and decorrelate across intervals."""
-    rep = count_statistics(sinai_sweep[0.01], [(0.0, 1.0), (1.0, 2.0)])
+    rep = count_statistics(sinai_family["sweep"][0.01],
+                           [(0.0, 1.0), (1.0, 2.0)])
     corr = float(rep.correlations[0, 1])
     print(f"[criterion 9] sinai r=0.01: TV={rep.tv[0]:.4f},{rep.tv[1]:.4f} "
           f"(<0.05) corr={corr:.4f} (|.|<0.05) means={rep.means}")
@@ -298,7 +315,7 @@ def test_criterion_09_poisson_counts(sinai_sweep):
     assert abs(corr) < 0.05
 
 
-def test_criterion_10_short_returns(tables):
+def test_criterion_10_short_returns(sinai_family, stadium_family):
     """Short returns thin out as the hole shrinks.
 
     KNOWN RED: the fraction's expected value is 1 - exp(-p*mu/mu_X) with
@@ -307,13 +324,9 @@ def test_criterion_10_short_returns(tables):
     holds; the absolute pin does not, and this test reports it honestly.
     """
     fractions = {}
-    for name, center in (("sinai_torus", 0.3), ("stadium", 1.0)):
-        table = tables[name]
-        fr = []
-        for r in RADII:
-            rep = short_return_fraction(table, make_hole(table, center, r),
-                                        seed=7)
-            fr.append(rep.fraction)
+    for name, family in (("sinai_torus", sinai_family),
+                         ("stadium", stadium_family)):
+        fr = [family["short"][r].short_returns().fraction for r in RADII]
         fractions[name] = fr
         print(f"[criterion 10] {name}: fractions "
               + " ".join(f"r={r}:{f:.4f}" for r, f in zip(RADII, fr))
@@ -327,20 +340,21 @@ def test_criterion_10_short_returns(tables):
             f"feasible radius")
 
 
-def test_criterion_11_quasi_section_defect(tables):
+def test_criterion_11_quasi_section_defect(tables, sinai_family,
+                                           stadium_family):
     """Multi-hit excursions are a vanishing O(r) fraction; exact 0 when
     every collision starts its own excursion."""
-    stadium = tables["stadium"]
+    stadium, sinai = tables["stadium"], tables["sinai_torus"]
     defects, ratios = [], []
-    for r, data in sweep(stadium, 1.0, 3000, CHECK_T_MAX).items():
+    for r, data in stadium_family["quasi"].items():
         hole = make_hole(stadium, 1.0, r)
         rep = data.quasi_section(stadium.components[hole.component].kind)
         assert rep.host_kind == "flat"
         defects.append(rep.defect)
         ratios.append(rep.defect / r)
-    rep0 = quasi_section_defect(tables["sinai_torus"],
-                                make_hole(tables["sinai_torus"], 0.3, 0.01),
-                                3000, seed=7)
+    hole0 = make_hole(sinai, 0.3, 0.01)
+    rep0 = sinai_family["quasi"][0.01].quasi_section(
+        sinai.components[hole0.component].kind)
     print(f"[criterion 11] stadium defects "
           + " ".join(f"r={r}:{d:.5f}" for r, d in zip(RADII, defects))
           + f" (decreasing); defect/r ratios "

@@ -13,6 +13,7 @@ import threading
 import time
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -20,6 +21,7 @@ from numpy.testing import assert_allclose
 from openbilliards import (
     FLAG_CORNER,
     FLAG_GRAZING,
+    FLAG_LOST,
     FLAG_OK,
     FLAG_UNFOLD,
     build_table,
@@ -27,11 +29,15 @@ from openbilliards import (
     make_hole,
     regular_flower_components,
     step_batch,
+    validate_table,
 )
-from openbilliards.dynamics import march, tangent_map_batch
+from openbilliards.dynamics import march
 from openbilliards.geometry import cut_stadium_components, locate_batch
 from openbilliards.inducing import base_returns
 from openbilliards.measure import SrbSampler, invariance_defect
+
+import oracle
+from helpers import reference_family, tangent_map
 
 
 def make(name):
@@ -186,8 +192,8 @@ CLASSES = list(SEEDS)
 
 
 def tangent_at(table, s, phi):
-    """Df at one uncensored phase point: tangent_map_batch on one lane."""
-    M, (_, _, _, _, flag) = tangent_map_batch(table, [s], [phi])
+    """Df at one uncensored phase point: tangent_map on one lane."""
+    M, (_, _, _, _, flag) = tangent_map(table, [s], [phi])
     assert flag[0] == FLAG_OK
     return M[0]
 
@@ -239,6 +245,53 @@ def test_tangent_map_matches_reference(name):
     assert_allclose(M, np.array(FROZEN_DF[name]), rtol=1e-11, atol=1e-12)
 
 
+def test_kernel_matches_oracle_on_reference_family():
+    """Every table of the seeded reference family that validates clean,
+    stepped once through step_batch and through the mpmath oracle: 8 SRB
+    lanes per table (seed 1, stream 2) hit the same component on every
+    unflagged lane, with |ds|, |dphi| and |dtau| each <= 1e-11; the
+    Jacobians of 2 lanes per table (stream 3) match oracle.tangent_map_fd
+    within 1e-10 relative to ||M||.  Lost lanes are counted and printed but
+    not asserted: the validator still accepts tables whose domain is
+    unbounded, and the oracle's rays escape those too."""
+    clean = [t for t in reference_family(seed=5, n_stars=1000, n_random=150)
+             if not validate_table(t)]
+    assert len(clean) >= 150
+    worst = {"s": 0.0, "phi": 0.0, "tau": 0.0, "M": 0.0}
+    n_step = n_jac = lost = lost_tables = 0
+    for i, table in enumerate(clean):
+        tab, per = oracle.from_table(table), table.perimeter
+        s, phi = SrbSampler(table, seed=1, stream=2).sample(8)
+        s1, phi1, tau, comp, flag = step_batch(table, s, phi)
+        lost += int(np.count_nonzero(flag == FLAG_LOST))
+        lost_tables += bool((flag == FLAG_LOST).any())
+        for k in np.flatnonzero(flag == FLAG_OK):
+            rs, rphi, rtau, rcomp = oracle.step(tab, mp.mpf(s[k]),
+                                                mp.mpf(phi[k]))
+            assert int(comp[k]) == rcomp, (i, k)
+            ds = abs(float(rs - mp.mpf(s1[k])))
+            ds = min(ds, per - ds)      # wrap-aware on the boundary circle
+            for key, d in (("s", ds), ("phi", float(abs(rphi - phi1[k]))),
+                           ("tau", float(abs(rtau - tau[k])))):
+                assert d <= 1e-11, (i, k, key, d)
+                worst[key] = max(worst[key], d)
+            n_step += 1
+        s, phi = SrbSampler(table, seed=1, stream=3).sample(2)
+        M, (_, _, _, _, flag) = tangent_map(table, s, phi)
+        for k in np.flatnonzero(flag == FLAG_OK):
+            ref = np.array(oracle.tangent_map_fd(tab, s[k], phi[k]),
+                           dtype=float)
+            rel = float(np.abs(M[k] - ref).max() / np.sqrt((M[k] ** 2).sum()))
+            assert rel <= 1e-10, (i, k, rel)
+            worst["M"] = max(worst["M"], rel)
+            n_jac += 1
+    print(f"[oracle family] {len(clean)} clean tables, {n_step} unflagged "
+          f"lanes: worst |ds|={worst['s']:.1e} |dphi|={worst['phi']:.1e} "
+          f"|dtau|={worst['tau']:.1e} (<=1e-11); {n_jac} Jacobians: worst "
+          f"rel={worst['M']:.1e} (<=1e-10); lost lanes {lost} on "
+          f"{lost_tables} tables (not asserted)")
+
+
 def test_sinai_symmetry_orbit_jacobian():
     """Head-on crossing of the unit cell: tau=0.6, K=5, phi=0."""
     table = make("sinai")
@@ -260,7 +313,7 @@ def test_jacobian_determinant_is_cos_ratio(name):
     rng = np.random.default_rng(11)
     s = rng.uniform(0, table.perimeter, size=400)
     phi = np.arcsin(rng.uniform(-1, 1, size=400))
-    M, (s1, phi1, tau, comp, flag) = tangent_map_batch(table, s, phi)
+    M, (s1, phi1, tau, comp, flag) = tangent_map(table, s, phi)
     ok = flag == FLAG_OK
     assert ok.mean() > 0.95
     det = M[ok, 0, 0] * M[ok, 1, 1] - M[ok, 0, 1] * M[ok, 1, 0]
@@ -670,7 +723,7 @@ def test_slope_propagation_matches_jacobian_chain():
     K = float(locate_batch(table, s)["K"][0])
     v = np.array([1.0, b_plus * math.cos(phi[0]) - K])
     for _ in range(10):
-        M, (s1, phi1, tau, comp, flag) = tangent_map_batch(table, s, phi)
+        M, (s1, phi1, tau, comp, flag) = tangent_map(table, s, phi)
         assert int(flag[0]) == FLAG_OK
         v = M[0] @ v
         K1 = float(locate_batch(table, s1)["K"][0])

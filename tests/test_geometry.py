@@ -17,6 +17,7 @@ from openbilliards import (
 from openbilliards.geometry import CircularArc, locate_batch
 
 import scalar_validator
+from helpers import flat, loop, reference_family
 
 
 def sinai(r=0.2):
@@ -258,10 +259,6 @@ def test_squash_with_equal_radii_is_not_built():
         build_table("squash", r1=1.0, r2=1.0, center_distance=2.0)
 
 
-def flat(p0, p1):
-    return {"kind": "flat", "p0": p0, "p1": p1}
-
-
 @pytest.mark.parametrize("components, expected", [
     # a needle: out along the x axis and straight back, so its two flats
     # also lie on top of each other
@@ -282,10 +279,6 @@ def test_cusps_are_flagged(components, expected):
 def polygon(*verts):
     return [flat(list(p), list(q))
             for p, q in zip(verts, verts[1:] + verts[:1])]
-
-
-def loop(center, radius):
-    return CircularArc(center, radius, 0.0, 2 * math.pi, dispersing=True)
 
 
 @pytest.mark.parametrize("components, expected", [
@@ -310,70 +303,6 @@ def test_components_on_one_carrier_overlap_only_where_they_share_length(
         components, expected):
     t = build_table("flower", components=components)
     assert [v.components for v in validate_table(t)] == expected
-
-
-def star_table(rng):
-    """A random star polygon whose edges are flats, outward focusing caps
-    or inward dispersing bites, with zero to two scatterer loops."""
-    n = int(rng.integers(3, 9))
-    angles = np.sort(rng.uniform(0.0, 2 * math.pi, n))
-    radii = rng.uniform(0.5, 1.5, n)
-    verts = [(float(r * math.cos(a)), float(r * math.sin(a)))
-             for a, r in zip(angles, radii)]
-    comps = []
-    for (px, py), (qx, qy) in zip(verts, verts[1:] + verts[:1]):
-        kind = int(rng.integers(3))
-        if kind == 0:
-            comps.append(flat([px, py], [qx, qy]))
-            continue
-        span = float(rng.uniform(0.2, math.pi))
-        rho = math.hypot(qx - px, qy - py) / (2.0 * math.sin(span / 2.0))
-        # the centre lies left of the chord for a cap, right for a bite, at
-        # off chord lengths from its middle
-        off = (1.0 if kind == 1 else -1.0) / (2.0 * math.tan(span / 2.0))
-        c = ((px + qx) / 2.0 - off * (qy - py),
-             (py + qy) / 2.0 + off * (qx - px))
-        th = math.atan2(py - c[1], px - c[0])
-        comps.append(CircularArc(c, rho, th, th + span, dispersing=False)
-                     if kind == 1 else
-                     CircularArc(c, rho, th - span, th, dispersing=True))
-    comps += [loop(tuple(rng.uniform(-1.0, 1.0, 2).tolist()),
-                   float(rng.uniform(0.05, 0.4)))
-              for _ in range(int(rng.integers(3)))]
-    return build_table("flower", components=comps)
-
-
-def reference_family(seed, n_stars, n_random):
-    """The standard tables, exact and near tangencies, random semi-dispersing
-    and squash tables, and random star polygons."""
-    rng = np.random.default_rng(seed)
-    tables = [sinai(), build_table("stadium", flat_length=2.0),
-              build_table("squash", r1=0.6, r2=1.0, center_distance=2.0),
-              build_table("semi_dispersing", width=2.0, height=1.0,
-                          centers=[(1.0, 0.5)], radii=[0.3])]
-    tables += [build_table("flower", components=cut_stadium_components(2.0, g))
-               for g in (0.5, 0.75, 0.9, 0.999, 1.0)]
-    tables += [build_table("diamond", square_side=2.0, corner_radius=r)
-               for r in (0.3, 0.5, 0.999, 1.001, 1.2, 1.9)]
-    # flowers meet the separated focusing condition with equality at corners
-    tables += [build_table("flower",
-                           components=regular_flower_components(n, 2.0))
-               for n in range(3, 9)]
-    for _ in range(n_random):
-        k = int(rng.integers(1, 4))
-        r1, r2 = sorted(rng.uniform(0.2, 1.5, 2).tolist())
-        for cls, params in (
-                ("semi_dispersing", dict(
-                    width=2.0, height=1.0,
-                    centers=rng.uniform(0.0, [2.0, 1.0], (k, 2)).tolist(),
-                    radii=rng.uniform(0.05, 0.5, k).tolist())),
-                ("squash", dict(r1=r1, r2=r2,
-                                center_distance=float(rng.uniform(0.0, 3.0))))):
-            try:
-                tables.append(build_table(cls, **params))
-            except GeometryError:
-                pass
-    return tables + [star_table(rng) for _ in range(n_stars)]
 
 
 def test_validator_matches_scalar_reference():

@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from openbilliards import build_table, make_hole
+from openbilliards import build_table, ks_statistic, make_hole
 from openbilliards.openstats import (
     HittingData,
     collect_hitting,
     count_statistics,
-    ks_exp1,
     poisson_pmf,
     quasi_section_defect,
     short_return_fraction,
@@ -111,13 +110,13 @@ def test_collect_tracks_induced_on_dispersing(sinai):
 def test_ks_exp1_quantiles():
     n = 10
     x = -np.log(1.0 - (np.arange(n) + 0.5) / n)
-    assert ks_exp1(x) == pytest.approx(1.0 / (2 * n))
+    assert ks_statistic(x, 1.0 - np.exp(-x)) == pytest.approx(1.0 / (2 * n))
 
 
 def test_ks_exp1_point_masses():
-    assert ks_exp1(np.array([math.log(2.0)])) == pytest.approx(0.5)
-    assert ks_exp1(np.zeros(5)) == pytest.approx(1.0)
-    assert math.isnan(ks_exp1(np.array([])))
+    for x, ks in ((np.array([math.log(2.0)]), 0.5), (np.zeros(5), 1.0)):
+        assert ks_statistic(x, 1.0 - np.exp(-x)) == pytest.approx(ks)
+    assert math.isnan(ks_statistic(np.array([]), np.array([])))
 
 
 def test_window_ks_without_survivors_is_ks_exp1():
@@ -132,7 +131,8 @@ def test_window_ks_without_survivors_is_ks_exp1():
     fh, excluded = data.first_hit_sample()
     assert fh.size == 200 and np.isfinite(fh).all()
     assert excluded == 1 / 201
-    assert data.window_ks() == ks_exp1(fh)
+    x = np.sort(fh)
+    assert data.window_ks() == ks_statistic(x, 1.0 - np.exp(-x))
 
 
 def test_window_ks_counts_survivors_to_the_window_end():
