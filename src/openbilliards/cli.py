@@ -320,7 +320,7 @@ def cmd_run(args):
                        (map(_fmt, row) for row in
                         zip(sc.t, sc.empirical, sc.exponential)))
             entry = {
-                "mu": hole.measure, "ks_exp1": data.window_ks(),
+                "mu": hole.measure, "window_ks": data.window_ks(),
                 # a survival curve stops at t_max: no S(1) below t_max = 1
                 "survival_at_1": float(survival_curve(data, [1.0])
                                        .empirical[0]) if t_max >= 1.0 else None,
@@ -375,7 +375,7 @@ def _enforce(args, summary, thresholds):
     if summary["radii"]:
         tag = f"r_{min(summary['radii']):g}"
         entry = summary["per_radius"][tag]
-        enforced.append((f"{tag}: ks_exp1", entry["ks_exp1"],
+        enforced.append((f"{tag}: window_ks", entry["window_ks"],
                          thresholds["ks"]))
         enforced += [(f"{tag}: tv", v, thresholds["tv"])
                      for v in entry.get("tv", [])]

@@ -109,10 +109,9 @@ def cone_invariance_scan(table, n_points, n_vectors, seed):
     a slope tolerance scaled by the magnitudes involved.
     """
     s, phi = SrbSampler(table, seed).sample(n_points)
-    bg = table._bg
     _, phi1, tau, comp, flag = dynamics.step_batch(table, s, phi)
     ok = flag == FLAG_OK
-    K0, K1 = bg.K[bg.component(s[ok])], bg.K[comp[ok]]
+    K0, K1 = table.K[table.component(s[ok])], table.K[comp[ok]]
     c0, c1, tau = np.cos(phi[ok]), np.cos(phi1[ok]), tau[ok]
     fwd = _scan_once(jacobian(tau, K0, K1, c0, c1), K0, K1, c1, tau,
                      n_vectors)

@@ -9,10 +9,13 @@ Everything flows through one vectorized kernel (step_batch), so there is
 exactly one arithmetic path; a single orbit is a one-lane array.  The kernel
 keeps only the map itself: the flight direction, the unit-cell walk on the
 torus, the reflection angle and the censoring flags.  Every formula on the
-boundary's components lives in the table's batch geometry: locate_batch
-gives the start point and normal, nearest is the one ray-boundary test (at
-cell offset (0, 0) on a bounded table; on the torus, at each cell a ray
-enters, its own first) and impact maps the hit back to arclength and normal.
+boundary's components is a method of the table, built once with it:
+locate_batch gives the start point and normal, nearest is the one
+ray-boundary test (at cell offset (0, 0) on a bounded table; on the torus,
+at each cell a ray enters, its own first), impact maps the hit back to
+arclength and normal, and at_corner flags it from its own (component,
+arclength into it), so a closed loop's seam is never a corner.  A step only
+reads its table.
 jacobian is the one Df formula, fed by a step's tau and the curvature and
 cos(phi) at the flight's two ends.
 The torus walk goes in blocks of cells, one nearest call per block for
@@ -95,7 +98,7 @@ def _dda_block(b, tmaxx, tmaxy, tdx, tdy):
     return nx, np.arange(b + 1)[:, None] - nx, xs, ys
 
 
-def _unfold(bg, px, py, dx, dy, guard):
+def _unfold(table, px, py, dx, dy, guard):
     """The torus search: walk every lane from its own cell through the unit
     cells its ray enters (Amanatides & Woo).
 
@@ -135,8 +138,8 @@ def _unfold(bg, px, py, dx, dy, guard):
         nx, ny, xs, ys = _dda_block(b, tmaxx, tmaxy, tdx, tdy)
         bx = cx + stepx * nx
         by = cy + stepy * ny
-        t, k = bg.nearest(*np.tile(walk[:4], b), bx[:b].ravel(),
-                          by[:b].ravel(), guard)
+        t, k = table.nearest(*np.tile(walk[:4], b), bx[:b].ravel(),
+                             by[:b].ravel(), guard)
         hit = (t < np.inf).reshape(b, -1)
         met = hit.any(axis=0)
         # each lane's first hitting cell, or the first one it has not tested
@@ -178,9 +181,6 @@ def step_batch(table, s, phi):
         return _step(table, s, phi)
     out = (np.empty(s.size), np.empty(s.size), np.empty(s.size),
            np.empty(s.size, dtype=np.int64), np.empty(s.size, dtype=np.int8))
-    # cached_property takes no lock since Python 3.12: the cached attributes
-    # _step reads are computed before any helper starts
-    table._bg, table.junction_s, table.corner_tol, table.diameter
     workers = _workers()
     width = _CHUNK // workers
     starts = iter(range(0, s.size, width))
@@ -208,7 +208,6 @@ def step_batch(table, s, phi):
 
 def _step(table, s, phi):
     """step_batch on one chunk of float arrays s, phi."""
-    bg = table._bg
     loc = locate_batch(table, s)
     px, py = loc["x"], loc["y"]
     c, sn = np.cos(phi), np.sin(phi)
@@ -219,15 +218,16 @@ def _step(table, s, phi):
     guard = GUARD_FACTOR * table.diameter
 
     if table.lattice:
-        tau, comp, ox, oy, overflow = _unfold(bg, px, py, dx, dy, guard)
+        tau, comp, ox, oy, overflow = _unfold(table, px, py, dx, dy, guard)
     else:
-        tau, comp = bg.nearest(px, py, dx, dy, 0.0, 0.0, guard)
+        tau, comp = table.nearest(px, py, dx, dy, 0.0, 0.0, guard)
         ox = oy = 0.0
 
     lost = ~np.isfinite(tau)
     safe_tau = np.where(lost, 0.0, tau)
-    s1, n1x, n1y = bg.impact(np.where(comp < 0, 0, comp), px + safe_tau * dx,
-                             py + safe_tau * dy, ox, oy)
+    hit = np.where(comp < 0, 0, comp)
+    s1, u1, n1x, n1y = table.impact(hit, px + safe_tau * dx,
+                                    py + safe_tau * dy, ox, oy)
     t1x, t1y = n1y, -n1x
     dn = dx * n1x + dy * n1y          # incoming, < 0 at a regular impact
     dt = dx * t1x + dy * t1y
@@ -235,7 +235,7 @@ def _step(table, s, phi):
 
     flag = np.zeros(s.shape, dtype=np.int8)
     flag[np.abs(phi1) > math.pi / 2 - EPS_GRAZE] = FLAG_GRAZING
-    flag[table.near_junction(s1)] = FLAG_CORNER
+    flag[table.at_corner(hit, u1)] = FLAG_CORNER
     flag[lost] = FLAG_LOST
     if table.lattice:
         flag[overflow] = FLAG_UNFOLD
@@ -256,7 +256,7 @@ def march(table, s, phi, horizon, observe, comp=None):
     """
     s = np.asarray(s, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    prev = table._bg.component(s % table.perimeter) if comp is None else comp
+    prev = table.component(s % table.perimeter) if comp is None else comp
     censor_step = np.full(s.size, horizon + 1, dtype=np.int64)
     censor_kind = np.zeros(s.size, dtype=np.int8)
     lanes = np.arange(s.size)

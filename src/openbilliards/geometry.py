@@ -7,12 +7,16 @@ listed order.  Signed curvature follows the scattering convention: +1/rho on
 dispersing walls (domain outside the circle), -1/rho on focusing walls
 (domain inside the circle), 0 on flats.
 
-The component classes hold parameters only.  The map between arclength and
-(point, inward normal), both ways, is written once, in the batch geometry a
-table caches (Table._bg), which locate_batch, the kernel, the checks and
-validate_table read: the validator measures through the kernel's projection.
-Each map runs one formula per lane, and the ray test checks an arc's span
-with one dot product, so the kernel takes one arctan2 per arc impact.
+The component classes hold parameters only.  A Table is one object: its
+constructor derives everything once (offsets, perimeter, chains, the flat
+per-component arrays), and the map between arclength and (point, inward
+normal), both ways, is written once, as its methods, which locate_batch, the
+kernel, the checks and validate_table read: the validator measures through
+the kernel's projection.  Each map runs one formula per lane, and the ray
+test checks an arc's span with one dot product, so the kernel takes one
+arctan2 per arc impact.  The corner test, Table.at_corner, reads an impact's
+own (component, arclength into it): an end of an open chain's component is a
+corner, a closed loop's seam never is.
 """
 
 from __future__ import annotations
@@ -27,8 +31,9 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-# Junction window as a fraction of the perimeter: impacts closer than this to
-# a component junction are flagged as corner hits and the orbit is censored.
+# Corner window as a fraction of the perimeter: impacts closer than this to
+# an end of their component are flagged as corner hits and the orbit is
+# censored (a closed loop has no ends).
 CORNER_TOL_FACTOR = 1e-12
 
 # A full-circle component is a closed loop; its parametrization seam is not a
@@ -150,130 +155,59 @@ class Violation:
         return f"[{self.kind}] components ({ids}): {self.detail}"
 
 
-@dataclass(frozen=True)
+def _diameter(comps):
+    """The diagonal of the components' bounding box (an arc's is its full
+    circle's), in Python floats: an extent that overflows is inf, with no
+    warning."""
+    pts = []
+    for c in comps:
+        if c.kind == "flat":
+            pts.append(c.p0)
+            pts.append(c.p1)
+        else:
+            pts.append((c.center[0] - c.radius, c.center[1] - c.radius))
+            pts.append((c.center[0] + c.radius, c.center[1] + c.radius))
+    xs, ys = zip(*pts)
+    return math.hypot(max(xs) - min(xs), max(ys) - min(ys))
+
+
 class Table:
-    """Closed billiard boundary plus class metadata."""
+    """A closed billiard boundary, its class tag, and everything derived
+    from its components, computed once here as plain attributes: the
+    arclength offsets, perimeter, corner window, diameter, closed chains,
+    the flat per-component arrays, and the only arithmetic on components.
 
-    components: tuple
-    class_tag: str
-
-    def __post_init__(self):
-        if not self.components:
-            raise GeometryError("table needs at least one component")
-        # validation squares lengths up to the diameter as Python floats
-        if not math.isfinite(self.diameter * self.diameter):
-            raise GeometryError(f"table too large: diameter {self.diameter:g}")
-        self.chains  # a boundary that does not close fails here
-
-    @property
-    def lattice(self):
-        """A unit-torus table: the listed scatterer loops repeat on the
-        integer lattice and free flights unfold through periodic images."""
-        return self.class_tag == "sinai_torus"
-
-    @cached_property
-    def offsets(self):
-        lens = [c.length for c in self.components]
-        return np.concatenate(([0.0], np.cumsum(lens)))
-
-    @cached_property
-    def perimeter(self):
-        return float(self.offsets[-1])
-
-    @cached_property
-    def corner_tol(self):
-        return CORNER_TOL_FACTOR * self.perimeter
-
-    @cached_property
-    def diameter(self):
-        pts = []
-        for c in self.components:
-            if c.kind == "flat":
-                pts.append(c.p0)
-                pts.append(c.p1)
-            else:
-                pts.append((c.center[0] - c.radius, c.center[1] - c.radius))
-                pts.append((c.center[0] + c.radius, c.center[1] + c.radius))
-        # Python floats: an extent that overflows is inf, with no warning
-        xs, ys = zip(*pts)
-        return math.hypot(max(xs) - min(xs), max(ys) - min(ys))
-
-    @cached_property
-    def chains(self):
-        """Components grouped into closed chains, as (first, last) index
-        pairs; raises GeometryError unless each chain closes head to tail."""
-        tol = 1e-9 * max(c.length for c in self.components)
-        (x0, y0, _, _), (x1, y1, _, _) = self._bg.ends
-        chains = []
-        start_idx = 0
-        comps = self.components
-        for i, c in enumerate(comps):
-            if c.loop:
-                if i != start_idx:
-                    raise GeometryError(
-                        f"component {i}: closed loop may not sit inside an open chain")
-                chains.append((i, i))
-                start_idx = i + 1
-                continue
-            if i + 1 < len(comps) and not comps[i + 1].loop \
-                    and math.hypot(x1[i] - x0[i + 1], y1[i] - y0[i + 1]) <= tol:
-                continue  # chain continues
-            # chain must close back to its start
-            if math.hypot(x1[i] - x0[start_idx], y1[i] - y0[start_idx]) > tol:
-                raise GeometryError(
-                    f"boundary chain starting at component {start_idx} does not "
-                    f"close (gap at component {i})")
-            chains.append((start_idx, i))
-            start_idx = i + 1
-        if start_idx != len(comps):
-            raise GeometryError("trailing components do not form a closed chain")
-        return tuple(chains)
-
-    @cached_property
-    def junction_s(self):
-        """Sorted arclength values of component junctions (loop seams
-        excluded).  Arclength does not wrap across chains, so a chain's
-        closing corner is listed at both offsets[a] and offsets[b + 1]."""
-        js = []
-        for a, b in self.chains:
-            if a == b and self.components[a].loop:
-                continue
-            js.extend(float(self.offsets[i]) for i in range(a, b + 2))
-        return np.asarray(sorted(js))
-
-    def near_junction(self, s):
-        """Corner test: which s (already reduced mod the perimeter) lie
-        within corner_tol of a component junction."""
-        js = self.junction_s
-        if not js.size:
-            return np.zeros(np.shape(s), dtype=bool)
-        j = np.searchsorted(js, s)
-        d = np.minimum(np.abs(s - js[np.maximum(j - 1, 0)]),
-                       np.abs(js[np.minimum(j, js.size - 1)] - s))
-        return d <= self.corner_tol
-
-    @cached_property
-    def _bg(self):
-        return _BatchGeometry(self)
-
-
-class _BatchGeometry:
-    """Flat numpy view of a table's components and the only arithmetic on
-    them: the forward map (frame), the ray test (nearest) and the
-    closest-point map (project), which the inverse map (impact) and the
+    That arithmetic is the forward map (frame), the ray test (nearest) and
+    the closest-point map (project), which the inverse map (impact) and the
     validator's distances (distance) read.  frame and project run both
     kinds' formulas on every lane and pick one (a flat's arc values are
     finite).  A hit lies in an open arc's span when (hit - centre) . mid >=
     rho cos_half: mid is the arc's mid direction, cos_half the cosine of
-    its half span plus an angular slack."""
+    its half span plus an angular slack.  A step never writes to its table.
+    """
 
-    def __init__(self, table):
-        comps = table.components
+    def __init__(self, components, class_tag):
+        comps = tuple(components)
+        if not comps:
+            raise GeometryError("table needs at least one component")
+        self.components = comps
+        self.class_tag = class_tag
+        # a unit-torus table: the listed scatterer loops repeat on the
+        # integer lattice and free flights unfold through periodic images
+        self.lattice = class_tag == "sinai_torus"
+        # validation squares lengths up to the diameter as Python floats;
+        # checked before any array is built from a table that large
+        self.diameter = _diameter(comps)
+        if not math.isfinite(self.diameter * self.diameter):
+            raise GeometryError(f"table too large: diameter {self.diameter:g}")
         n = len(comps)
         self.n = n
-        self.perimeter = table.perimeter
-        self.s_off = np.asarray(table.offsets[:-1])
-        self.s_end = np.asarray(table.offsets[1:])
+        self.offsets = np.concatenate(
+            ([0.0], np.cumsum([c.length for c in comps])))
+        self.perimeter = float(self.offsets[-1])
+        self.corner_tol = CORNER_TOL_FACTOR * self.perimeter
+        self.s_off = self.offsets[:-1]
+        self.s_end = self.offsets[1:]
         self.length = self.s_end - self.s_off
         self.is_arc = np.array([c.kind == "arc" for c in comps])
         self.K = np.array([c.curvature for c in comps])
@@ -303,12 +237,54 @@ class _BatchGeometry:
         self.mid = np.stack((np.cos(mid), np.sin(mid)), axis=1)
         self.cos_half = np.cos(np.minimum(
             self.span / 2.0 + 1e-9 * np.maximum(self.span, 1e-3), math.pi))
+        idx = np.arange(n)
+        # the frame of every component at its start and at its end
+        self.ends = self.frame(idx, np.zeros(n)), self.frame(idx, self.length)
+        # a boundary that does not close fails here
+        self.chains = self._chains()
+
+    def _chains(self):
+        """Components grouped into closed chains, as (first, last) index
+        pairs; raises GeometryError unless each chain closes head to tail."""
+        tol = 1e-9 * max(c.length for c in self.components)
+        (x0, y0, _, _), (x1, y1, _, _) = self.ends
+        chains = []
+        start_idx = 0
+        comps = self.components
+        for i, c in enumerate(comps):
+            if c.loop:
+                if i != start_idx:
+                    raise GeometryError(
+                        f"component {i}: closed loop may not sit inside an open chain")
+                chains.append((i, i))
+                start_idx = i + 1
+                continue
+            if i + 1 < len(comps) and not comps[i + 1].loop \
+                    and math.hypot(x1[i] - x0[i + 1], y1[i] - y0[i + 1]) <= tol:
+                continue  # chain continues
+            # chain must close back to its start
+            if math.hypot(x1[i] - x0[start_idx], y1[i] - y0[start_idx]) > tol:
+                raise GeometryError(
+                    f"boundary chain starting at component {start_idx} does not "
+                    f"close (gap at component {i})")
+            chains.append((start_idx, i))
+            start_idx = i + 1
+        if start_idx != len(comps):
+            raise GeometryError("trailing components do not form a closed chain")
+        return tuple(chains)
 
     def component(self, s):
         """The arclength -> component lookup, for s already reduced mod the
         perimeter (s equal to the perimeter maps to the last component)."""
         return np.clip(np.searchsorted(self.s_end, s, side="right"),
                        0, self.n - 1)
+
+    def at_corner(self, comp, u):
+        """The corner test: which points, at arclength u into components
+        comp, lie within corner_tol of one of their component's ends.  A
+        closed loop has no ends, so its seam is never a corner."""
+        return ~self.loop[comp] & (np.minimum(u, self.length[comp] - u)
+                                   <= self.corner_tol)
 
     def frame(self, idx, u):
         """(x, y, nx, ny): boundary point and inward normal at arclength u
@@ -323,12 +299,6 @@ class _BatchGeometry:
                          self.p0[idx, 1] + u * self.tang[idx, 1]),
                 np.where(arc, -tdir * ct, self.norm[idx, 0]),
                 np.where(arc, -tdir * st, self.norm[idx, 1]))
-
-    @cached_property
-    def ends(self):
-        """The frame of every component at its start and at its end."""
-        idx = np.arange(self.n)
-        return self.frame(idx, np.zeros(self.n)), self.frame(idx, self.length)
 
     def nearest(self, px, py, dx, dy, ox, oy, guard):
         """The ray-boundary test: earliest hit, beyond guard, of the rays
@@ -405,11 +375,11 @@ class _BatchGeometry:
                 np.where(arc, -tdir * np.sin(th), self.norm[comp, 1]))
 
     def impact(self, comp, hx, hy, ox, oy):
-        """The inverse map: arclength s1 (mod the perimeter) and inward
-        normal (nx, ny) at the impact points (hx, hy) on components comp,
-        through project."""
+        """The inverse map: arclength s1 (mod the perimeter), arclength u
+        into comp (what at_corner reads) and inward normal (nx, ny) at the
+        impact points (hx, hy) on components comp, through project."""
         u, nx, ny = self.project(comp, hx, hy, ox, oy)
-        return (self.s_off[comp] + u) % self.perimeter, nx, ny
+        return (self.s_off[comp] + u) % self.perimeter, u, nx, ny
 
     def distance(self, comp, px, py):
         """Euclidean distance from the points (px, py) to components comp:
@@ -425,12 +395,12 @@ def locate_batch(table, s):
     curvature; the traversal tangent is the normal rotated -90 degrees,
     (ny, -nx).
     """
-    bg = table._bg
-    s = np.asarray(s, dtype=float) % bg.perimeter
-    idx = bg.component(s)
-    x, y, nx, ny = bg.frame(idx, np.clip(s - bg.s_off[idx], 0.0, bg.length[idx]))
+    s = np.asarray(s, dtype=float) % table.perimeter
+    idx = table.component(s)
+    x, y, nx, ny = table.frame(
+        idx, np.clip(s - table.s_off[idx], 0.0, table.length[idx]))
     return {"component": idx, "x": x, "y": y, "nx": nx, "ny": ny,
-            "K": bg.K[idx]}
+            "K": table.K[idx]}
 
 
 # ---------------------------------------------------------------------------
@@ -704,10 +674,9 @@ def validate_table(table):
     table that breaks one is never built.
     """
     comps = table.components
-    bg = table._bg
     out = []
     tol = 1e-9 * table.diameter
-    (x0, y0, nx0, ny0), (x1, y1, nx1, ny1) = bg.ends
+    (x0, y0, nx0, ny0), (x1, y1, nx1, ny1) = table.ends
 
     # a proper crossing is a carrier meeting point on both components and
     # more than tol from all four of their ends; the first one per pair counts
@@ -718,8 +687,8 @@ def validate_table(table):
         i, j, px, py = (np.array(v) for v in zip(*cand))
         ex = np.stack((x0[i], x1[i], x0[j], x1[j]))
         ey = np.stack((y0[i], y1[i], y0[j], y1[j]))
-        proper = ((bg.distance(i, px, py) <= tol)
-                  & (bg.distance(j, px, py) <= tol)
+        proper = ((table.distance(i, px, py) <= tol)
+                  & (table.distance(j, px, py) <= tol)
                   & (np.hypot(px - ex, py - ey).min(axis=0) > tol))
         first = {}
         for k in np.flatnonzero(proper):
@@ -745,8 +714,8 @@ def validate_table(table):
         if c.kind != "arc" or c.dispersing:
             continue
         others = np.flatnonzero(np.arange(len(comps)) != i)
-        d = bg.distance(others, np.full(others.size, bg.center[i, 0]),
-                        np.full(others.size, bg.center[i, 1]))
+        d = table.distance(others, np.full(others.size, table.center[i, 0]),
+                           np.full(others.size, table.center[i, 1]))
         out += [Violation(
                     "sfc", (i, int(j)),
                     f"full circle of focusing arc {i} reaches component {j} "
@@ -796,7 +765,7 @@ def make_hole(table, center_s, r):
     r = _real("hole radius", r, positive=True)
     per = table.perimeter
     center_s = _real("center_s", center_s) % per
-    idx = int(table._bg.component(center_s))
+    idx = int(table.component(center_s))
     comp = table.components[idx]
     lo = float(table.offsets[idx])
     hi = float(table.offsets[idx + 1])

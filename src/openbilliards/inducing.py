@@ -26,17 +26,16 @@ def base_mask(table, now, prev):
     now = np.asarray(now)
     prev = np.asarray(prev)
     tag = table.class_tag
-    bg = table._bg
     if tag in ("sinai_torus", "diamond"):
         return np.ones(now.shape, dtype=bool)
     if tag in ("stadium", "squash"):
-        return bg.is_arc[now] & (now != prev)
+        return table.is_arc[now] & (now != prev)
     if tag == "flower":
-        dispersing = bg.is_arc[now] & (bg.K[now] > 0)
-        focusing_entry = bg.is_arc[now] & (bg.K[now] < 0) & (now != prev)
+        dispersing = table.is_arc[now] & (table.K[now] > 0)
+        focusing_entry = table.is_arc[now] & (table.K[now] < 0) & (now != prev)
         return dispersing | focusing_entry
     if tag == "semi_dispersing":
-        return bg.is_arc[now]
+        return table.is_arc[now]
     raise ValueError(f"no inducing rule for table class {tag!r}")
 
 
@@ -72,7 +71,7 @@ def sample_base_points(table, n_samples, seed):
     s1, phi1, _, comp1, flag = step_batch(table, s, phi)
     # the history is read after the step, so it does not sit under its peak
     del phi
-    comp_prev = table._bg.component(s)
+    comp_prev = table.component(s)
     del s
     ok = flag == FLAG_OK
     member = base_mask(table, comp1, comp_prev) & ok

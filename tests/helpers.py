@@ -20,13 +20,12 @@ def tangent_map(table, s, phi):
     (n, 2, 2) acting on (ds, dphi), step the (s1, phi1, tau, comp1, flag)
     tuple of dynamics.step_batch.  K at each end is read through its
     component, exact on unflagged lanes (a junction impact is flagged)."""
-    bg = table._bg
     s = np.asarray(s, dtype=float)
     phi = np.asarray(phi, dtype=float)
     step = dynamics.step_batch(table, s, phi)
     _, phi1, tau, comp, _ = step
-    M = dynamics.jacobian(tau, bg.K[bg.component(s % bg.perimeter)],
-                          bg.K[comp], np.cos(phi), np.cos(phi1))
+    M = dynamics.jacobian(tau, table.K[table.component(s % table.perimeter)],
+                          table.K[comp], np.cos(phi), np.cos(phi1))
     return M, step
 
 

@@ -98,7 +98,7 @@ def validate_table(table):
     comps = table.components
     out = []
     tol = 1e-9 * table.diameter
-    (x0, y0, nx0, ny0), (x1, y1, nx1, ny1) = table._bg.ends
+    (x0, y0, nx0, ny0), (x1, y1, nx1, ny1) = table.ends
     ends = [((x0[i], y0[i]), (x1[i], y1[i])) for i in range(len(comps))]
 
     for i in range(len(comps)):

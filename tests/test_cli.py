@@ -131,7 +131,7 @@ def test_run_writes_outputs(sinai_cfg, tmp_path):
     summary = read_json(out / "summary.json")
     assert summary["radii"] == [0.05, 0.02]
     entry = summary["per_radius"]["r_0.02"]
-    assert 0.0 <= entry["ks_exp1"] <= 1.0
+    assert 0.0 <= entry["window_ks"] <= 1.0
     assert summary["checks"]["kac"]["defect"] == 0.0
     assert summary["checks"]["cones"]["violations"] == 0
     hits = strict_csv(out / "r_0.05" / "hits.csv")
@@ -448,7 +448,7 @@ def test_run_reads_ks_and_s1_from_the_first_hit_sample(tmp_path, monkeypatch):
     assert main(["run", write_cfg(tmp_path / "c.yaml", cfg),
                  "--out", str(out)]) == 0
     entry = read_json(out / "summary.json")["per_radius"]["r_0.05"]
-    assert entry["ks_exp1"] <= 1 / n
+    assert entry["window_ks"] <= 1 / n
     assert abs(entry["survival_at_1"] - math.exp(-1.0)) <= 1 / n
 
 
@@ -484,7 +484,7 @@ def test_undefined_statistics_are_json_null(tmp_path, capsys):
     assert main(["run", write_cfg(tmp_path / "r.yaml", cfg),
                  "--out", str(out)]) == 0
     entry = read_json(out / "summary.json")["per_radius"]["r_0.05"]
-    assert entry["ks_exp1"] is None and entry["count_correlation"] is None
+    assert entry["window_ks"] is None and entry["count_correlation"] is None
 
     # every lane censored: no invariance KS, no mu(X), no base point
     cfg = write_cfg(tmp_path / "t.yaml", ALL_CENSORED)
@@ -609,7 +609,7 @@ def test_statistics_of_no_data_are_undefined(tmp_path, capsys):
 
 @pytest.mark.parametrize("command, cfg, statistic", [
     (["inducing", "--samples", "1"], UNDEFINED_INDUCING, "kac defect"),
-    (["run"], UNDEFINED_RUN, "r_0.05: ks_exp1"),
+    (["run"], UNDEFINED_RUN, "r_0.05: window_ks"),
 ])
 def test_enforce_fails_closed_on_undefined_statistics(command, cfg, statistic,
                                                       tmp_path, capsys):

@@ -142,14 +142,13 @@ def second_step_stable_half(table, s, phi, n_vectors):
     """The stable tally as a second step takes it: the unstable check of
     the maps at the reflected images (s1, -phi1), stepped again.  Returns
     the tally, its lane count and whether the second step flagged none."""
-    bg = table._bg
     _, (s1, phi1, _, _, flag) = tangent_map(table, s, phi)
     ok = flag == FLAG_OK
     s1, phi1 = s1[ok], -phi1[ok]
     M, (_, phi2, tau, comp, flag) = tangent_map(table, s1, phi1)
     ok = flag == FLAG_OK
-    tally = _scan_once(M[ok], bg.K[bg.component(s1[ok])], bg.K[comp[ok]],
-                       np.cos(phi2[ok]), tau[ok], n_vectors)
+    tally = _scan_once(M[ok], table.K[table.component(s1[ok])],
+                       table.K[comp[ok]], np.cos(phi2[ok]), tau[ok], n_vectors)
     return tally, int(ok.sum()), bool(ok.all())
 
 

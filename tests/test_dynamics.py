@@ -8,6 +8,7 @@ headroom; component indices must match exactly.
 
 import hashlib
 import math
+import pickle
 import sys
 import threading
 import time
@@ -32,7 +33,7 @@ from openbilliards import (
     validate_table,
 )
 from openbilliards.dynamics import march
-from openbilliards.geometry import cut_stadium_components, locate_batch
+from openbilliards.geometry import Table, cut_stadium_components, locate_batch
 from openbilliards.inducing import base_returns
 from openbilliards.measure import SrbSampler, invariance_defect
 
@@ -471,6 +472,22 @@ def test_helper_failure_is_raised_in_the_caller(monkeypatch):
     assert threading.active_count() == before
 
 
+@pytest.mark.parametrize("name", ["semi", "open_sinai"])
+def test_step_never_writes_to_its_table(name, monkeypatch):
+    """A step only reads its table: one call over just more than two chunks
+    on three threads leaves every attribute the same object, bytes and
+    all, and adds none."""
+    monkeypatch.setattr(dynamics, "_workers", lambda: 3)
+    table = make(name)
+    s, phi = SrbSampler(table, 1).sample(2 * dynamics._CHUNK + 13)
+    before = dict(vars(table))
+    frozen = pickle.dumps(before)
+    step_batch(table, s, phi)
+    assert vars(table).keys() == before.keys()
+    assert all(vars(table)[k] is v for k, v in before.items())
+    assert pickle.dumps(vars(table)) == frozen
+
+
 def _excess_peak(table, n):
     """Traced peak of one n-lane step_batch call beyond its outputs."""
     s, phi = SrbSampler(table, 1).sample(n)
@@ -492,7 +509,7 @@ def test_step_working_set_does_not_grow_with_width():
     assert eight <= 1.25 * two, (two, eight)
 
 
-def _reference_unfold(bg, px, py, dx, dy, guard, tau, comp):
+def _reference_unfold(table, px, py, dx, dy, guard, tau, comp):
     """The unit-cell walk one cell per iteration, as the kernel did it before
     the block walk, frozen here as its reference: the same Amanatides-Woo
     steps (a y step wins a tie), each cell tested on its own, and a lane
@@ -524,8 +541,8 @@ def _reference_unfold(bg, px, py, dx, dy, guard, tau, comp):
         if cells == dynamics.UNFOLD_MAX_CELLS:
             overflow[active] = True
             break
-        t, k = bg.nearest(px[active], py[active], dx[active], dy[active],
-                          cellx[active], celly[active], guard)
+        t, k = table.nearest(px[active], py[active], dx[active], dy[active],
+                             cellx[active], celly[active], guard)
         hit = t < np.inf
         tau[active[hit]] = t[hit]
         comp[active[hit]] = k[hit]
@@ -533,10 +550,11 @@ def _reference_unfold(bg, px, py, dx, dy, guard, tau, comp):
     return cellx, celly, overflow
 
 
-def _reference_search(bg, px, py, dx, dy, guard):
+def _reference_search(table, px, py, dx, dy, guard):
     """The torus search as the frozen walk did it: own cell, then the rest."""
-    tau, comp = bg.nearest(px, py, dx, dy, 0.0, 0.0, guard)
-    ox, oy, overflow = _reference_unfold(bg, px, py, dx, dy, guard, tau, comp)
+    tau, comp = table.nearest(px, py, dx, dy, 0.0, 0.0, guard)
+    ox, oy, overflow = _reference_unfold(table, px, py, dx, dy, guard, tau,
+                                         comp)
     return tau, comp, ox, oy, np.flatnonzero(overflow)
 
 
@@ -615,9 +633,9 @@ def test_short_flights_take_one_nearest_call(name, monkeypatch):
     table = make(name)
     s, phi = SrbSampler(table, 1, 1).sample(2000)
     short = step_batch(table, s, phi)[2] < 1.0
-    geometry, calls = type(table._bg), []
-    nearest = geometry.nearest
-    monkeypatch.setattr(geometry, "nearest",
+    calls = []
+    nearest = Table.nearest
+    monkeypatch.setattr(Table, "nearest",
                         lambda *a: calls.append(a) or nearest(*a))
     assert np.all(step_batch(table, s[short], phi[short])[4] == FLAG_OK)
     assert short.sum() > 100 and len(calls) == 1
@@ -747,6 +765,16 @@ def test_corner_impact_flagged():
     # from the middle of the top flat straight at the (1,-1) junction
     phi = math.atan2(-1.0, 2.0)
     assert step_batch(table, [3.0 + math.pi], [phi])[4][0] == FLAG_CORNER
+
+
+def test_loop_seam_impact_is_regular():
+    """Along the normal from the right wall's middle, the ray meets the disk
+    at its seam, s = 6, which is also where the wall chain closes at the
+    (0, 0) corner: a regular hit on the disk, not a corner."""
+    s1, phi1, tau, comp, flag = step_batch(make("semi"), [2.5], [0.0])
+    assert flag[0] == FLAG_OK
+    assert (s1[0], comp[0]) == (6.0, 4)
+    assert tau[0] == pytest.approx(0.7) and phi1[0] == pytest.approx(0.0)
 
 
 @pytest.mark.parametrize("name", ["stadium", "squash", "diamond", "flower"])

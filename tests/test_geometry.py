@@ -70,6 +70,14 @@ def boundary_at(t, s):
     return (b["x"][0], b["y"][0]), (b["nx"][0], b["ny"][0]), b["K"][0]
 
 
+def corner_at(t, s):
+    """Table.at_corner at arclengths s, reduced mod the perimeter, through
+    the component each lies on and the arclength into it."""
+    s = np.asarray(s, dtype=float) % t.perimeter
+    comp = t.component(s)
+    return t.at_corner(comp, s - t.s_off[comp])
+
+
 def test_locate_sinai_cardinal_points():
     t = sinai()
     position, normal, _ = boundary_at(t, 0.0)
@@ -88,7 +96,7 @@ def test_locate_stadium_flat():
     assert_allclose(position, (0.0, -1.0), atol=1e-15)
     assert_allclose(normal, (0.0, 1.0), atol=1e-15)
     assert K == 0.0
-    assert not t.near_junction(1.0)
+    assert not corner_at(t, 1.0)
 
 
 def test_locate_stadium_cap():
@@ -102,8 +110,8 @@ def test_locate_stadium_cap():
 def test_locate_wraps_and_flags_corners():
     t = build_table("stadium", flat_length=2.0)
     # the perimeter wraps to s = 0, a junction
-    s = np.array([2.0, t.perimeter, 1.3]) % t.perimeter
-    assert t.near_junction(s).tolist() == [True, True, False]
+    s = [2.0, t.perimeter, 1.3]
+    assert corner_at(t, s).tolist() == [True, True, False]
     b = locate_batch(t, [0.25, 0.25 + 3 * t.perimeter])
     assert_allclose(b["x"][0], b["x"][1], atol=1e-12)
     assert_allclose(b["y"][0], b["y"][1], atol=1e-12)
@@ -125,7 +133,7 @@ def test_locate_tangent_normal_frame():
 
 def test_loop_seam_is_not_a_corner():
     t = sinai()
-    assert not t.near_junction(0.0)
+    assert not corner_at(t, 0.0)
 
 
 def semi():
@@ -140,21 +148,30 @@ def flower_after_loop():
                        + regular_flower_components(4, 2.0))
 
 
-@pytest.mark.parametrize("make, s_of, corner", [
+@pytest.mark.parametrize("make, comp, at_end, corner", [
     # the wall chain closes at s = 6, the (0, 0) corner on the left wall
-    (semi, lambda t: 6.0 - 1e-13, True),
-    (semi, lambda t: 2.0 - 1e-13, True),
-    # the scatterer loop listed last has a seam at the perimeter
-    (semi, lambda t: t.perimeter - 1e-13, False),
+    (semi, 3, True, True),
+    (semi, 0, True, True),
+    # the scatterer loop listed last has its seam at s = 6 and the perimeter,
+    # on either side of the wall chain's closing corner
+    (semi, 4, True, False),
+    (semi, 4, False, False),
     # behind a leading loop the petal chain closes at the perimeter
-    (flower_after_loop, lambda t: t.perimeter - 1e-13, True),
-    (flower_after_loop, lambda t: t.offsets[1] + 1e-13, True),
-    (flower_after_loop, lambda t: 1e-13, False),
-], ids=["semi-closing", "semi-inner", "semi-loop-seam", "flower-closing",
-        "flower-chain-start", "flower-loop-seam"])
-def test_chain_closing_corners(make, s_of, corner):
+    (flower_after_loop, 4, True, True),
+    (flower_after_loop, 1, False, True),
+    # the leading loop's seam at s = 0 and at the petal chain's start
+    (flower_after_loop, 0, False, False),
+    (flower_after_loop, 0, True, False),
+], ids=["semi-closing", "semi-inner", "semi-loop-seam", "semi-loop-start",
+        "flower-closing", "flower-chain-start", "flower-loop-seam",
+        "flower-loop-end"])
+def test_chain_closing_corners(make, comp, at_end, corner):
+    """at_corner 1e-13 into component comp from its start or its end: a
+    chain's ends are corners, a loop's seam is none, even where a chain's
+    corner shares its arclength."""
     t = make()
-    assert t.near_junction(s_of(t)) == corner
+    u = t.length[comp] - 1e-13 if at_end else 1e-13
+    assert t.at_corner(comp, u) == corner
 
 
 # ----------------------------------------------------------------- builders

@@ -172,7 +172,7 @@ def test_sample_base_points_members(stadium):
     (s, phi, comp), mu_x, cens = sample_base_points(stadium, 5000, seed=7)
     assert 0.0 < mu_x < 1.0
     assert cens < 0.01
-    assert np.all(stadium._bg.is_arc[comp])
+    assert np.all(stadium.is_arc[comp])
     # accepted fraction matches the reported conditional measure
     assert s.size == pytest.approx(mu_x * 5000, rel=0.05)
 
