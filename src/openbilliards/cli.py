@@ -345,11 +345,11 @@ def cmd_run(args):
                 diag["short_return"] = {"fraction": sr.fraction, "p": sr.p,
                                         "n_pairs": sr.n_pairs}
             if checks["quasi_section"]:
-                q = next(family).quasi_section(
-                    table.components[hole.component].kind)
+                q = next(family).quasi_section()
                 entry["quasi_section_defect"] = q.defect
                 diag["quasi_section"] = {
-                    "defect": q.defect, "host_kind": q.host_kind,
+                    "defect": q.defect,
+                    "host_kind": table.components[hole.component].kind,
                     "n_excursions": q.n_excursions_with_hit}
             _write_json(rdir / "diagnostics.json", diag)
             entry["runtime_s"] = perf_counter() - t0

@@ -184,6 +184,12 @@ class Table:
     finite).  A hit lies in an open arc's span when (hit - centre) . mid >=
     rho cos_half: mid is the arc's mid direction, cos_half the cosine of
     its half span plus an angular slack.  A step never writes to its table.
+
+    The inducing base X is table data too.  A collision on a component with
+    base_always set is in X; one on a component with base_entry set is in X
+    when it starts a run there, i.e. comes from another component.  A
+    dispersing arc is always in X, a focusing arc only at run entry, and a
+    flat never, except on the diamond, which induces with R = 1.
     """
 
     def __init__(self, components, class_tag):
@@ -212,6 +218,8 @@ class Table:
         self.is_arc = np.array([c.kind == "arc" for c in comps])
         self.K = np.array([c.curvature for c in comps])
         self.loop = np.array([c.loop for c in comps])
+        self.base_always = (self.K > 0) | (class_tag == "diamond")
+        self.base_entry = self.K < 0
         self.p0 = np.zeros((n, 2))
         self.tang = np.zeros((n, 2))
         self.norm = np.zeros((n, 2))

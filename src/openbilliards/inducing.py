@@ -1,11 +1,13 @@
 """First-return structures: base sets X, return times, tails, Kac identity.
 
-The base set is class-specific.  Dispersing tables take every collision
-(R = 1).  Stadium-like tables take only the first collision of each run on
-one circular arc; flowers additionally keep every dispersing collision;
-the semi-dispersing rectangle keeps scatterer collisions.  Membership of a
-collision therefore depends on the previous collision's component, which is
-why base_mask takes it beside the current one.
+The base set X is per-component table data (Table.base_always and
+Table.base_entry, built once by the Table constructor).  Every dispersing
+collision is in X; a focusing arc counts only the first collision of each
+run on it (Markarian; Chernov and Zhang), and a flat counts only on the
+diamond, an R = 1 class.  Dispersing tables therefore take every collision,
+stadium-like tables the entries into their caps.  Membership of a collision
+depends on the previous collision's component, which is why base_mask takes
+it beside the current one.
 """
 
 from __future__ import annotations
@@ -24,19 +26,7 @@ def base_mask(table, now, prev):
     prev entries of -1 mean "no history", which counts as a fresh entry.
     """
     now = np.asarray(now)
-    prev = np.asarray(prev)
-    tag = table.class_tag
-    if tag in ("sinai_torus", "diamond"):
-        return np.ones(now.shape, dtype=bool)
-    if tag in ("stadium", "squash"):
-        return table.is_arc[now] & (now != prev)
-    if tag == "flower":
-        dispersing = table.is_arc[now] & (table.K[now] > 0)
-        focusing_entry = table.is_arc[now] & (table.K[now] < 0) & (now != prev)
-        return dispersing | focusing_entry
-    if tag == "semi_dispersing":
-        return table.is_arc[now]
-    raise ValueError(f"no inducing rule for table class {tag!r}")
+    return table.base_always[now] | (table.base_entry[now] & (now != prev))
 
 
 def _returns_batch(table, s, phi, comp0, cap):

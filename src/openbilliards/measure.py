@@ -49,15 +49,19 @@ class SrbSampler:
         return s, phi
 
 
-def ks_statistic(sorted_values, cdf_values):
-    """Exact sup distance between an empirical CDF and model CDF values.
+def ks_statistic(sorted_values, cdf_values, n=None):
+    """Exact sup distance between an empirical CDF and model CDF values,
+    over the sorted sample's span.
 
-    cdf_values are the model CDF at the sorted sample.  NaN when empty.
+    cdf_values are the model CDF at the sorted sample.  n is the sample
+    size the empirical CDF divides by, len(sorted_values) by default; a
+    larger n counts points above the last value.  NaN when empty.
     """
-    n = len(sorted_values)
-    if n == 0:
+    m = len(sorted_values)
+    if m == 0:
         return math.nan
-    ranks = np.arange(1, n + 1) / n
+    n = m if n is None else n
+    ranks = np.arange(1, m + 1) / n
     above = ranks - cdf_values
     ranks -= 1.0 / n            # the empirical CDF just below each point
     below = np.subtract(cdf_values, ranks, out=ranks)

@@ -22,7 +22,7 @@ import numpy as np
 # step_batch stays a module attribute: perfbench's tracer test looks it up here
 from .dynamics import march, step_batch  # noqa: F401
 from .inducing import base_mask
-from .measure import SrbSampler
+from .measure import SrbSampler, ks_statistic
 
 CHECK_T_MAX = 20.0   # normalized horizon of the short-return and quasi checks
 
@@ -37,9 +37,7 @@ class ShortReturnReport:
     fraction: float
     p: int
     n_pairs: int
-    mu: float
     n_orbits: int
-    censored_fraction: float
 
 
 @dataclass(frozen=True)
@@ -47,9 +45,6 @@ class QuasiSectionReport:
     defect: float
     n_excursions_with_hit: int
     n_multi: int
-    host_kind: str
-    mu: float
-    censored_fraction: float
 
 
 @dataclass(frozen=True)
@@ -60,7 +55,6 @@ class HittingData:
     n_orbits: int
     horizon: int
     t_max: float
-    seed: int
     hit_orbit: np.ndarray      # sorted by (orbit, index)
     hit_index: np.ndarray      # collision indices >= 1
     censor_step: np.ndarray    # per orbit; horizon + 1 when never censored
@@ -95,21 +89,19 @@ class HittingData:
         """KS distance of the first-hit sample to Exp(1) on the observed
         window [0, horizon * mu].
 
-        Survivors count in the sample size, and the sup runs up to the end
-        of the window, past which no hit is observed; with no survivor this
-        is the plain KS distance of the hits to Exp(1) (measure.ks_statistic).
-        NaN when no eligible orbit hit the hole.
+        measure.ks_statistic over the hits, with the survivors counted in
+        the sample size, and the sup runs on to the end of the window, past
+        which no hit is observed; with no survivor this is the plain KS
+        distance of the hits to Exp(1).  NaN when no eligible orbit hit the
+        hole.
         """
         fh, _ = self.first_hit_sample()
         hit = np.sort(fh[np.isfinite(fh)])
         if not hit.size:
             return math.nan
-        cdf = 1.0 - np.exp(-hit)
-        ranks = np.arange(1, hit.size + 1) / fh.size
         # past the last hit the empirical CDF stays flat to the window's end
         tail = 1.0 - math.exp(-self.horizon * self.mu) - hit.size / fh.size
-        return max(float((ranks - cdf).max()),
-                   float((cdf - (ranks - 1.0 / fh.size)).max()), tail)
+        return max(ks_statistic(hit, 1.0 - np.exp(-hit), fh.size), tail)
 
     def short_returns(self, epsilon=0.1):
         """Fraction of hole hits whose next hit comes within p induced steps.
@@ -123,10 +115,9 @@ class HittingData:
         same = self.hit_orbit[1:] == self.hit_orbit[:-1]
         gaps = self.hit_induced[1:][same] - self.hit_induced[:-1][same]
         fraction = float((gaps <= p).mean()) if gaps.size else math.nan
-        return ShortReturnReport(fraction, p, int(gaps.size), self.mu,
-                                 self.n_orbits, self.censored_fraction)
+        return ShortReturnReport(fraction, p, int(gaps.size), self.n_orbits)
 
-    def quasi_section(self, host_kind):
+    def quasi_section(self):
         """Fraction of hole-visiting excursions with two or more hits.
 
         An excursion is the block of collisions between consecutive entries
@@ -134,8 +125,7 @@ class HittingData:
         block).  Only completed excursions count: the orbit must re-enter X
         after the hits.  For R = 1 classes every block is a single
         collision, so the defect is exactly zero; with no complete
-        excursion holding a hit it is NaN.  host_kind (the hole's component
-        kind) is echoed in the report.
+        excursion holding a hit it is NaN.
         """
         # group hits by (orbit, excursion id); an excursion is complete when
         # the orbit's final induced counter moved past it
@@ -145,8 +135,7 @@ class HittingData:
         _, sizes = np.unique(pairs, axis=0, return_counts=True)
         n_hit_exc, n_multi = int(sizes.size), int((sizes >= 2).sum())
         defect = n_multi / n_hit_exc if n_hit_exc else math.nan
-        return QuasiSectionReport(defect, n_hit_exc, n_multi, host_kind,
-                                  self.mu, self.censored_fraction)
+        return QuasiSectionReport(defect, n_hit_exc, n_multi)
 
 
 def collect_hitting(table, hole, n_orbits, t_max, seed):
@@ -218,7 +207,7 @@ def collect_hitting_family(table, requests, seed):
         within = censor_step[:n] <= horizon
         family.append(HittingData(
             mu=hole.measure, n_orbits=n, horizon=horizon, t_max=t_max,
-            seed=seed, hit_orbit=hit_orbit[order], hit_index=hit_index[order],
+            hit_orbit=hit_orbit[order], hit_index=hit_index[order],
             censor_step=np.where(within, censor_step[:n], horizon + 1),
             censor_kind=np.where(within, censor_kind[:n], np.int8(0)),
             hit_induced=np.concatenate(induced)[order], final_induced=final))
@@ -338,7 +327,5 @@ def short_return_fraction(table, hole, epsilon=0.1, n_hits=20000, seed=0,
 
 
 def quasi_section_defect(table, hole, n_orbits, seed, t_max=CHECK_T_MAX):
-    """HittingData.quasi_section over n_orbits orbits, for the kind of the
-    component that holds the hole."""
-    return collect_hitting(table, hole, n_orbits, t_max, seed).quasi_section(
-        table.components[hole.component].kind)
+    """HittingData.quasi_section over n_orbits orbits."""
+    return collect_hitting(table, hole, n_orbits, t_max, seed).quasi_section()

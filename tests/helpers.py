@@ -1,5 +1,7 @@
-"""Shared test helpers: the tangent map of one step, and the seeded family of
-reference tables that the validator and the oracle checks run over."""
+"""Shared test helpers: the tangent map of one step, one lane's observed
+march, the class-by-class inducing base rule kept as a reference, and the
+seeded family of reference tables that the validator and the oracle checks
+run over."""
 
 import math
 
@@ -27,6 +29,38 @@ def tangent_map(table, s, phi):
     M = dynamics.jacobian(tau, table.K[table.component(s % table.perimeter)],
                           table.K[comp], np.cos(phi), np.cos(phi1))
     return M, step
+
+
+def observed(table, s0, phi0, horizon):
+    """One lane marched: (j, s, phi, component) at each observed collision,
+    then the lane's censor step and kind."""
+    seen = []
+
+    def observe(j, lanes, s, phi, comp, prev):
+        seen.append((j, float(s[0]), float(phi[0]), int(comp[0])))
+
+    step, kind, _ = dynamics.march(table, [s0], [phi0], horizon, observe)
+    return seen, int(step[0]), int(kind[0])
+
+
+def reference_base_mask(table, now, prev):
+    """The inducing base rule as a switch on the table's class tag, kept word
+    for word as the reference that inducing.base_mask must equal on every
+    class it names."""
+    now = np.asarray(now)
+    prev = np.asarray(prev)
+    tag = table.class_tag
+    if tag in ("sinai_torus", "diamond"):
+        return np.ones(now.shape, dtype=bool)
+    if tag in ("stadium", "squash"):
+        return table.is_arc[now] & (now != prev)
+    if tag == "flower":
+        dispersing = table.is_arc[now] & (table.K[now] > 0)
+        focusing_entry = table.is_arc[now] & (table.K[now] < 0) & (now != prev)
+        return dispersing | focusing_entry
+    if tag == "semi_dispersing":
+        return table.is_arc[now]
+    raise ValueError(f"no inducing rule for table class {tag!r}")
 
 
 def flat(p0, p1):

@@ -344,17 +344,15 @@ def test_criterion_11_quasi_section_defect(tables, sinai_family,
                                            stadium_family):
     """Multi-hit excursions are a vanishing O(r) fraction; exact 0 when
     every collision starts its own excursion."""
-    stadium, sinai = tables["stadium"], tables["sinai_torus"]
+    stadium = tables["stadium"]
     defects, ratios = [], []
     for r, data in stadium_family["quasi"].items():
         hole = make_hole(stadium, 1.0, r)
-        rep = data.quasi_section(stadium.components[hole.component].kind)
-        assert rep.host_kind == "flat"
+        assert stadium.components[hole.component].kind == "flat"
+        rep = data.quasi_section()
         defects.append(rep.defect)
         ratios.append(rep.defect / r)
-    hole0 = make_hole(sinai, 0.3, 0.01)
-    rep0 = sinai_family["quasi"][0.01].quasi_section(
-        sinai.components[hole0.component].kind)
+    rep0 = sinai_family["quasi"][0.01].quasi_section()
     print(f"[criterion 11] stadium defects "
           + " ".join(f"r={r}:{d:.5f}" for r, d in zip(RADII, defects))
           + f" (decreasing); defect/r ratios "

@@ -403,7 +403,7 @@ def test_run_marches_once_and_matches_separate_calls(tmp_path, monkeypatch):
                 "short_return": {"fraction": srr.fraction, "p": srr.p,
                                  "n_pairs": srr.n_pairs},
                 "quasi_section": {"defect": q.defect,
-                                  "host_kind": q.host_kind,
+                                  "host_kind": "arc",
                                   "n_excursions": q.n_excursions_with_hit}}
         for f in ("hits.csv", "survival.csv", "counts.csv"):
             assert (out / rdir / f).read_bytes() \
@@ -435,7 +435,7 @@ def test_run_reads_ks_and_s1_from_the_first_hit_sample(tmp_path, monkeypatch):
     hit = index <= horizon
     assert n - hit.sum() == 50
     data = openstats.HittingData(
-        mu=mu, n_orbits=n, horizon=horizon, t_max=t_max, seed=1,
+        mu=mu, n_orbits=n, horizon=horizon, t_max=t_max,
         hit_orbit=np.flatnonzero(hit), hit_index=index[hit],
         censor_step=np.full(n, horizon + 1),
         censor_kind=np.zeros(n, dtype=np.int8), hit_induced=index[hit],
@@ -546,6 +546,21 @@ def test_quasi_section_without_an_excursion_is_null(tmp_path, capsys):
     capsys.readouterr()
     main(argv + ["--enforce"])      # the check has no threshold
     assert "quasi_section" not in capsys.readouterr().err
+
+
+def test_quasi_section_names_a_flat_host(tmp_path):
+    # the hole sits on the stadium's bottom flat; the kind is written from
+    # the table, beside the statistic
+    cfg = {"version": 1, "table": STADIUM,
+           "hole": {"center_s": 1.0, "radii": [0.6]},
+           "run": {"seed": 3, "n_orbits": 10, "t_max": 2.0},
+           "checks": {"quasi_section": True}, "budgets": {"quasi_orbits": 10}}
+    assert main(["run", write_cfg(tmp_path / "c.yaml", cfg),
+                 "--out", str(tmp_path / "o")]) == 0
+    quasi = read_json(tmp_path / "o" / "r_0.6" / "diagnostics.json")[
+        "quasi_section"]
+    assert quasi["host_kind"] == "flat"
+    assert quasi["n_excursions"] > 0
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

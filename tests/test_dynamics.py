@@ -32,13 +32,12 @@ from openbilliards import (
     step_batch,
     validate_table,
 )
-from openbilliards.dynamics import march
 from openbilliards.geometry import Table, cut_stadium_components, locate_batch
 from openbilliards.inducing import base_returns
 from openbilliards.measure import SrbSampler, invariance_defect
 
 import oracle
-from helpers import reference_family, tangent_map
+from helpers import observed, reference_family, tangent_map
 
 
 def make(name):
@@ -197,18 +196,6 @@ def tangent_at(table, s, phi):
     M, (_, _, _, _, flag) = tangent_map(table, [s], [phi])
     assert flag[0] == FLAG_OK
     return M[0]
-
-
-def observed(table, s0, phi0, horizon):
-    """One lane marched: (j, s, phi, component) at each observed collision,
-    then the lane's censor step and kind."""
-    seen = []
-
-    def observe(j, lanes, s, phi, comp, prev):
-        seen.append((j, float(s[0]), float(phi[0]), int(comp[0])))
-
-    step, kind, _ = march(table, [s0], [phi0], horizon, observe)
-    return seen, int(step[0]), int(kind[0])
 
 
 @pytest.mark.parametrize("name", CLASSES)

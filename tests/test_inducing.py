@@ -3,7 +3,11 @@ import pytest
 
 from openbilliards import build_table
 from openbilliards.dynamics import step_batch
-from openbilliards.geometry import regular_flower_components
+from openbilliards.geometry import (
+    Table,
+    cut_stadium_components,
+    regular_flower_components,
+)
 from openbilliards.inducing import (
     BaseReturns,
     _returns_batch,
@@ -11,6 +15,8 @@ from openbilliards.inducing import (
     base_returns,
     sample_base_points,
 )
+
+from helpers import loop, reference_base_mask, reference_family
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +77,72 @@ def test_in_base_semi(semi):
 def test_base_mask_fresh_history(stadium):
     mask = base_mask(stadium, np.array([1, 1, 0]), np.array([-1, 1, -1]))
     assert mask.tolist() == [True, False, False]
+
+
+def every_pair(table):
+    """(now, prev) arrays over every current component and every previous
+    one, no history (-1) included."""
+    now, prev = np.meshgrid(np.arange(table.n), np.arange(-1, table.n))
+    return now.ravel(), prev.ravel()
+
+
+SIX = {
+    "sinai_torus": dict(centers=[(0.5, 0.5)], radii=[0.2]),
+    "stadium": dict(flat_length=2.0),
+    "squash": dict(r1=0.6, r2=1.0, center_distance=2.0),
+    "diamond": dict(square_side=2.0, corner_radius=0.5),
+    "flower": dict(components=regular_flower_components(4, 2.0)),
+    "semi_dispersing": dict(width=2.0, height=1.0, centers=[(1.0, 0.5)],
+                            radii=[0.3]),
+}
+
+
+def test_base_rule_matches_class_reference():
+    tables = [build_table(tag, **params) for tag, params in SIX.items()]
+    tables += reference_family(seed=5, n_stars=1000, n_random=150)
+    for table in tables:
+        now, prev = every_pair(table)
+        assert np.array_equal(base_mask(table, now, prev),
+                              reference_base_mask(table, now, prev)), \
+            table.class_tag
+
+
+# (base_always, base_entry) per component: D/F/A = dispersing arc, focusing
+# arc, flat
+BASE_ARRAYS = {
+    "sinai_torus": ([1], [0]),                  # D
+    "stadium": ([0, 0, 0, 0], [0, 1, 0, 1]),    # A F A F
+    "squash": ([0, 0, 0, 0], [0, 1, 0, 1]),     # A F A F
+    "diamond": ([1] * 8, [0] * 8),              # (A D) x 4
+    "flower": ([0] * 4, [1] * 4),               # F x 4
+    "semi_dispersing": ([0, 0, 0, 0, 1], [0] * 5),   # A x 4, D
+}
+
+
+@pytest.mark.parametrize("tag", SIX)
+def test_base_arrays(tag):
+    table = build_table(tag, **SIX[tag])
+    always, entry = BASE_ARRAYS[tag]
+    assert table.base_always.tolist() == list(map(bool, always))
+    assert table.base_entry.tolist() == list(map(bool, entry))
+
+
+def test_base_arrays_of_a_flower_with_a_flat_and_a_loop():
+    # a cut stadium (A F A F) around a dispersing loop (D)
+    table = build_table("flower", components=[
+        *cut_stadium_components(2.0, 0.5), loop((0.0, 0.0), 0.2)])
+    assert table.base_always.tolist() == [False] * 4 + [True]
+    assert table.base_entry.tolist() == [False, True, False, True, False]
+    assert members(table, [(0, 1), (1, 0), (1, 1), (4, 4), (4, -1)]) \
+        == [False, True, False, True, True]
+
+
+def test_unknown_class_tag_gets_the_general_rule(stadium):
+    # no class switch at march time: the per-component rule applies
+    table = Table(stadium.components, "unlisted")
+    assert members(table, [(1, 0), (1, 1), (0, -1)]) == [True, False, False]
+    (s, phi, comp), mu_x, _ = sample_base_points(table, 500, seed=12)
+    assert 0.0 < mu_x < 1.0 and np.all(table.is_arc[comp])
 
 
 def test_return_time_replay(stadium):

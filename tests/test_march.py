@@ -24,6 +24,8 @@ from openbilliards.inducing import _returns_batch, base_mask
 from openbilliards.measure import SrbSampler
 from openbilliards.openstats import collect_hitting, collect_hitting_family
 
+from helpers import observed
+
 TABLES = {
     "stadium": lambda: build_table("stadium", flat_length=2.0),
     "sinai": lambda: build_table("sinai_torus", centers=[(0.5, 0.5)],
@@ -126,9 +128,8 @@ def test_chunked_march_matches_whole(name, monkeypatch):
 
 
 def assert_same(data, alone):
-    assert (data.mu, data.n_orbits, data.horizon, data.t_max,
-            data.seed) == (alone.mu, alone.n_orbits, alone.horizon,
-                           alone.t_max, alone.seed)
+    assert (data.mu, data.n_orbits, data.horizon, data.t_max) == (
+        alone.mu, alone.n_orbits, alone.horizon, alone.t_max)
     for f in FIELDS:
         a, b = getattr(data, f), getattr(alone, f)
         assert np.array_equal(a, b) and a.dtype == b.dtype, f
@@ -222,18 +223,6 @@ def test_family_matches_scalar_orbits(name):
             assert data.final_induced[i] == entries
             assert data.censor_step[i] == data.horizon + 1
         assert data.hit_orbit.size > 0
-
-
-def observed(table, s0, phi0, horizon):
-    """One lane marched: (j, s, phi, component) at each observed collision,
-    then the lane's censor step and kind."""
-    seen = []
-
-    def observe(j, lanes, s, phi, comp, prev):
-        seen.append((j, float(s[0]), float(phi[0]), int(comp[0])))
-
-    step, kind, _ = dynamics.march(table, [s0], [phi0], horizon, observe)
-    return seen, int(step[0]), int(kind[0])
 
 
 def test_orbit_censored_at_injected_step(monkeypatch):

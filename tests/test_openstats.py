@@ -43,7 +43,7 @@ def synth(mu, n_orbits, t_max, hits, censor_step=None, final_induced=None):
     else:
         induced = np.array([h[2] for h in hits], dtype=np.int64)
     return HittingData(
-        mu=mu, n_orbits=n_orbits, horizon=horizon, t_max=t_max, seed=0,
+        mu=mu, n_orbits=n_orbits, horizon=horizon, t_max=t_max,
         hit_orbit=orb, hit_index=idx, censor_step=censor_step,
         censor_kind=np.zeros(n_orbits, dtype=np.int8), hit_induced=induced,
         final_induced=np.asarray(final_induced, dtype=np.int64),
@@ -276,9 +276,8 @@ def test_short_returns_reduction():
                                 (1, 9, 10), (2, 4, 7)],
                  final_induced=[9, 12, 8])
     rep = data.short_returns(epsilon=0.5)
-    assert (rep.p, rep.n_pairs, rep.n_orbits, rep.mu) == (2, 3, 3, 0.25)
+    assert (rep.p, rep.n_pairs, rep.n_orbits) == (2, 3, 3)
     assert rep.fraction == pytest.approx(2 / 3)
-    assert rep.censored_fraction == 0.0
 
 
 def test_short_returns_without_a_pair_are_nan():
@@ -297,17 +296,14 @@ def test_quasi_section_reduction():
     data = synth(0.1, 3, 4.0, [(0, 4, 2), (0, 6, 2), (0, 20, 5), (1, 7, 3),
                                (1, 8, 3), (2, 9, 1)],
                  final_induced=[6, 3, 4])
-    rep = data.quasi_section("flat")
+    rep = data.quasi_section()
     assert (rep.n_excursions_with_hit, rep.n_multi) == (3, 1)
     assert rep.defect == pytest.approx(1 / 3)
-    assert (rep.host_kind, rep.mu, rep.censored_fraction) == ("flat", 0.1,
-                                                              0.0)
     only_open = synth(0.1, 2, 4.0, [(1, 7, 3), (1, 8, 3)],
                       final_induced=[0, 3])
-    rep = only_open.quasi_section("arc")
+    rep = only_open.quasi_section()
     assert math.isnan(rep.defect)       # no complete excursion, no defect
-    assert (rep.n_excursions_with_hit, rep.n_multi, rep.host_kind) == (
-        0, 0, "arc")
+    assert (rep.n_excursions_with_hit, rep.n_multi) == (0, 0)
 
 
 def test_short_return_sinai(sinai):
@@ -340,14 +336,12 @@ def test_quasi_section_dispersing_is_exact_zero(sinai):
     rep = quasi_section_defect(sinai, hole, 400, seed=3, t_max=10.0)
     assert rep.defect == 0.0
     assert rep.n_multi == 0
-    assert rep.host_kind == "arc"
     assert rep.n_excursions_with_hit > 1000
 
 
 def test_quasi_section_flat_host_positive(stadium):
     hole = make_hole(stadium, 1.0, 0.05)
     rep = quasi_section_defect(stadium, hole, 1500, seed=2)
-    assert rep.host_kind == "flat"
     assert 0.0 < rep.defect < 0.05
     assert rep.n_multi >= 10
 
