@@ -20,12 +20,14 @@ jacobian is the one Df formula, fed by a step's tau and the curvature and
 cos(phi) at the flight's two ends.
 The torus walk goes in blocks of cells, one nearest call per block for
 every lane still walking, so a batch with one corridor flight pays numpy
-dispatch per block rather than per cell of that flight.  A call wider than
-_CHUNK lanes steps piece by piece into preallocated outputs, its pieces
-shared by the calling thread and one helper thread per further CPU the
-process may run on (its CPU affinity; there is no setting).  A piece is
-_CHUNK // workers lanes wide, so at most _CHUNK lanes are in flight and the
-working set of a wide batch is its inputs, its outputs and one chunk's
+dispatch per block rather than per cell of that flight.  A block holds at
+most _CHUNK lane-cells, so many walking lanes take short blocks and a few
+take long ones.  A call wider than _CHUNK lanes steps piece by piece into
+preallocated outputs, its pieces shared by the calling thread and one
+helper thread per further CPU the process may run on (its CPU affinity;
+there is no setting).  A piece is _CHUNK // workers lanes wide, so at most
+_CHUNK lanes are in flight and the working set of a wide batch, on a
+bounded table or the torus, is its inputs, its outputs and one chunk's
 temporaries; every lane's arithmetic is its own, so the pieces are
 bit-identical to one whole-batch step whatever thread steps them.
 """
@@ -46,11 +48,8 @@ EPS_GRAZE = 1e-6
 GUARD_FACTOR = 1e-12
 # the torus walk gives up after testing this many cells, its own included
 UNFOLD_MAX_CELLS = 1000
-# the unit-cell walk tests its first _BLOCK_FIRST cells in one nearest call,
-# then blocks twice as long, up to _BLOCK_CAP cells
-_BLOCK_FIRST = 4
-_BLOCK_CAP = 128
-# step_batch steps wider calls at most this many lanes at a time
+# the one bound on a step's temporaries: step_batch has at most this many
+# lanes in flight, and one torus walk block at most this many lane-cells
 _CHUNK = 2**15
 
 FLAG_OK = 0
@@ -105,10 +104,13 @@ def _unfold(table, px, py, dx, dy, guard):
     Every scatterer disk sits strictly inside its cell, so testing only the
     cells the ray traverses (in entry order) is exact.  The walk goes in
     blocks: one nearest call tests each walking lane's current cell and the
-    cells after it (_BLOCK_FIRST cells, the own one included, doubling up to
-    _BLOCK_CAP), a lane stops at its first hitting cell, and a lane that
-    missed them all steps to the first cell it has not tested.  So a batch
-    pays numpy dispatch per block, not per cell of its longest flight.
+    cells after it, a lane stops at its first hitting cell, and a lane that
+    missed them all steps to the first cell it has not tested.  The first
+    block is 4 cells, the own one included; each block after it doubles the
+    one before, but holds at most _CHUNK lane-cells (and at least one cell
+    per lane) and never passes UNFOLD_MAX_CELLS.  So a batch pays numpy
+    dispatch per block, not per cell of its longest flight, and a block's
+    temporaries never outgrow one chunk's.
     Returns (tau, comp, cellx, celly, overflow): each lane's hit and cell
     offset, and the lanes that met nothing in UNFOLD_MAX_CELLS cells, whose
     offset is one walk step past their last tested cell.
@@ -131,10 +133,11 @@ def _unfold(table, px, py, dx, dy, guard):
             np.where(dy != 0, (np.where(dy > 0, 1.0, 0.0) - py) / dy, np.inf),
             np.zeros(n), np.zeros(n)])
 
-    tested, size = 0, _BLOCK_FIRST
+    # a flight shorter than a cell diagonal meets at most 4 cells
+    tested, b = 0, 4
     while lanes.size and tested < UNFOLD_MAX_CELLS:
         _, _, _, _, stepx, stepy, tdx, tdy, tmaxx, tmaxy, cx, cy = walk
-        b = min(size, UNFOLD_MAX_CELLS - tested)
+        b = min(b, max(_CHUNK // lanes.size, 1), UNFOLD_MAX_CELLS - tested)
         nx, ny, xs, ys = _dda_block(b, tmaxx, tmaxy, tdx, tdy)
         bx = cx + stepx * nx
         by = cy + stepy * ny
@@ -153,7 +156,7 @@ def _unfold(table, px, py, dx, dy, guard):
         tau[done], comp[done] = t[at], k[at]
         lanes, walk = lanes[~met], walk[:, ~met]
         tested += b
-        size = min(2 * size, _BLOCK_CAP)
+        b *= 2
     return tau, comp, cellx, celly, lanes
 
 

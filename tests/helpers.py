@@ -1,7 +1,7 @@
-"""Shared test helpers: the tangent map of one step, one lane's observed
-march, the class-by-class inducing base rule kept as a reference, and the
-seeded family of reference tables that the validator and the oracle checks
-run over."""
+"""Shared test helpers: the catalogue of named tables every test module
+builds from, the tangent map of one step, one lane's observed march, the
+class-by-class inducing base rule kept as a reference, and the seeded family
+of reference tables that the validator and the oracle checks run over."""
 
 import math
 
@@ -15,6 +15,41 @@ from openbilliards import (
     regular_flower_components,
 )
 from openbilliards.geometry import CircularArc
+
+# The named tables, each built in this one place: one table of each class,
+# then three more tori for the cell walk (two scatterers per cell, and one
+# disk of radius 0.05 or 0.01, whose corridor flights walk far).
+TABLES = {
+    "sinai": lambda: build_table("sinai_torus", centers=[(0.5, 0.5)],
+                                 radii=[0.2]),
+    "stadium": lambda: build_table("stadium", flat_length=2.0),
+    "squash": lambda: build_table("squash", r1=0.6, r2=1.0,
+                                  center_distance=2.0),
+    "diamond": lambda: build_table("diamond", square_side=2.0,
+                                   corner_radius=0.5),
+    "flower": lambda: build_table(
+        "flower", components=regular_flower_components(4, 2.0)),
+    "semi": lambda: build_table("semi_dispersing", width=2.0, height=1.0,
+                                centers=[(1.0, 0.5)], radii=[0.3]),
+    "two_scatterer": lambda: build_table(
+        "sinai_torus", centers=[(0.3, 0.3), (0.75, 0.7)], radii=[0.15, 0.1]),
+    "open_sinai": lambda: build_table("sinai_torus", centers=[(0.5, 0.5)],
+                                      radii=[0.05]),
+    "thin_sinai": lambda: build_table("sinai_torus", centers=[(0.5, 0.5)],
+                                      radii=[0.01]),
+}
+# the one table of each class, in the README's order of the classes
+CLASSES = ("sinai", "stadium", "squash", "diamond", "flower", "semi")
+
+
+def make(name):
+    """A fresh build of the named table."""
+    return TABLES[name]()
+
+
+def class_tables():
+    """The one table of each class, fresh, by class tag."""
+    return {t.class_tag: t for t in map(make, CLASSES)}
 
 
 def tangent_map(table, s, phi):
@@ -106,11 +141,7 @@ def reference_family(seed, n_stars, n_random):
     """The standard tables, exact and near tangencies, random semi-dispersing
     and squash tables, and random star polygons."""
     rng = np.random.default_rng(seed)
-    tables = [build_table("sinai_torus", centers=[(0.5, 0.5)], radii=[0.2]),
-              build_table("stadium", flat_length=2.0),
-              build_table("squash", r1=0.6, r2=1.0, center_distance=2.0),
-              build_table("semi_dispersing", width=2.0, height=1.0,
-                          centers=[(1.0, 0.5)], radii=[0.3])]
+    tables = [make(name) for name in ("sinai", "stadium", "squash", "semi")]
     tables += [build_table("flower", components=cut_stadium_components(2.0, g))
                for g in (0.5, 0.75, 0.9, 0.999, 1.0)]
     tables += [build_table("diamond", square_side=2.0, corner_radius=r)

@@ -26,7 +26,7 @@ import pytest
 from openbilliards import build_table, make_hole
 from openbilliards.cones import cone_invariance_scan
 from openbilliards.dynamics import FLAG_OK, step_batch
-from openbilliards.geometry import cut_stadium_components, regular_flower_components
+from openbilliards.geometry import cut_stadium_components
 from openbilliards.inducing import base_returns
 from openbilliards.measure import SrbSampler, invariance_defect
 from openbilliards.openstats import (
@@ -37,22 +37,7 @@ from openbilliards.openstats import (
     survival_curve,
 )
 
-from helpers import tangent_map
-
-CLASS_BUILDERS = {
-    "sinai_torus": lambda: build_table("sinai_torus", centers=[(0.5, 0.5)],
-                                       radii=[0.2]),
-    "stadium": lambda: build_table("stadium", flat_length=2.0),
-    "squash": lambda: build_table("squash", r1=0.6, r2=1.0,
-                                  center_distance=2.0),
-    "diamond": lambda: build_table("diamond", square_side=2.0,
-                                   corner_radius=0.5),
-    "flower": lambda: build_table(
-        "flower", components=regular_flower_components(4, 2.0)),
-    "semi_dispersing": lambda: build_table(
-        "semi_dispersing", width=2.0, height=1.0, centers=[(1.0, 0.5)],
-        radii=[0.3]),
-}
+from helpers import class_tables, tangent_map
 
 SFC_CLASSES = ("sinai_torus", "diamond", "stadium", "squash", "flower")
 RADII = (0.05, 0.02, 0.01)
@@ -68,7 +53,7 @@ REQUESTS = {
 
 @pytest.fixture(scope="module")
 def tables():
-    return {name: make() for name, make in CLASS_BUILDERS.items()}
+    return class_tables()
 
 
 def wrapped(d, per):

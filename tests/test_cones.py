@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,36 +12,23 @@ from openbilliards.cones import (
     _scan_once,
     cone_invariance_scan,
 )
-from openbilliards.geometry import (
-    cut_stadium_components,
-    locate_batch,
-    regular_flower_components,
-)
+from openbilliards.geometry import cut_stadium_components, locate_batch
 from openbilliards.measure import SrbSampler
 
-from helpers import tangent_map
+from helpers import make, tangent_map
 
-SCAN_TABLES = {
-    "sinai": lambda: build_table("sinai_torus", centers=[(0.5, 0.5)],
-                                 radii=[0.2]),
-    "stadium": lambda: build_table("stadium", flat_length=2.0),
-    "squash": lambda: build_table("squash", r1=0.6, r2=1.0,
-                                  center_distance=2.0),
-    "diamond": lambda: build_table("diamond", square_side=2.0,
-                                   corner_radius=0.5),
-    "flower": lambda: build_table(
-        "flower", components=regular_flower_components(4, 2.0)),
-}
+# the scanned tables of the catalogue
+SCAN_TABLES = ("diamond", "flower", "sinai", "squash", "stadium")
 
 
 @pytest.fixture(scope="module")
 def sinai():
-    return SCAN_TABLES["sinai"]()
+    return make("sinai")
 
 
 @pytest.fixture(scope="module")
 def stadium():
-    return SCAN_TABLES["stadium"]()
+    return make("stadium")
 
 
 def host_curvature(table, s):
@@ -76,9 +64,9 @@ def test_cone_at_focusing(stadium):
     assert stable_edges(K) == (0.0, 1.0)
 
 
-@pytest.mark.parametrize("name", sorted(SCAN_TABLES))
+@pytest.mark.parametrize("name", SCAN_TABLES)
 def test_scan_clean(name):
-    table = SCAN_TABLES[name]()
+    table = make(name)
     rep = cone_invariance_scan(table, 3000, 5, seed=9)
     assert rep.n_violations == 0, f"{name}: {rep.n_violations} violations"
     assert rep.worst_margin > -1e-9
@@ -88,9 +76,7 @@ def test_scan_clean(name):
 
 
 def test_scan_semi_dispersing_clean():
-    table = build_table("semi_dispersing", width=2.0, height=1.0,
-                        centers=[(1.0, 0.5)], radii=[0.3])
-    rep = cone_invariance_scan(table, 3000, 5, seed=9)
+    rep = cone_invariance_scan(make("semi"), 3000, 5, seed=9)
     assert rep.n_violations == 0
     assert rep.transversality_violations == 0
     assert rep.vertical_min_margin > 0.0
@@ -112,7 +98,7 @@ def test_scan_flags_broken_focusing_geometry():
 # arrays, except the squash's worst_margin, recorded from the one-step scan:
 # the last digits of stable-half margins depend on how its maps are formed
 PINNED_SCANS = {
-    "squash": (SCAN_TABLES["squash"], 40_000, 10, 1, ConeScanReport(
+    "squash": (partial(make, "squash"), 40_000, 10, 1, ConeScanReport(
         n_pairs=800000, n_violations=0, worst_margin=-1.755235903331541e-14,
         vertical_min_margin=0.0050315671106656405,
         transversality_violations=0, censored_fraction=0.0)),
@@ -125,15 +111,13 @@ PINNED_SCANS = {
 
 @pytest.mark.parametrize("name", sorted(PINNED_SCANS))
 def test_scan_report_is_pinned(name):
-    make, n_points, n_vectors, seed, pinned = PINNED_SCANS[name]
-    assert cone_invariance_scan(make(), n_points, n_vectors, seed) == pinned
+    build, n_points, n_vectors, seed, pinned = PINNED_SCANS[name]
+    assert cone_invariance_scan(build(), n_points, n_vectors, seed) == pinned
 
 
 REVERSAL_TABLES = {
-    **SCAN_TABLES,
-    "semi_dispersing": lambda: build_table(
-        "semi_dispersing", width=2.0, height=1.0, centers=[(1.0, 0.5)],
-        radii=[0.3]),
+    **{name: partial(make, name) for name in SCAN_TABLES},
+    "semi_dispersing": partial(make, "semi"),
     "broken_focusing": broken_focusing,
 }
 
@@ -192,7 +176,7 @@ def test_scan_working_set_per_point():
     """The scan tallies one vector row at a time: its traced peak stays
     under 500 bytes per point at 10 vectors (the whole-array scan held
     about 1040)."""
-    table = SCAN_TABLES["squash"]()
+    table = make("squash")
     n_points = 200_000
     tracemalloc.start()
     try:

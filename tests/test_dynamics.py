@@ -28,7 +28,6 @@ from openbilliards import (
     build_table,
     dynamics,
     make_hole,
-    regular_flower_components,
     step_batch,
     validate_table,
 )
@@ -37,31 +36,7 @@ from openbilliards.inducing import base_returns
 from openbilliards.measure import SrbSampler, invariance_defect
 
 import oracle
-from helpers import observed, reference_family, tangent_map
-
-
-def make(name):
-    if name == "sinai":
-        return build_table("sinai_torus", centers=[(0.5, 0.5)], radii=[0.2])
-    if name == "stadium":
-        return build_table("stadium", flat_length=2.0)
-    if name == "squash":
-        return build_table("squash", r1=0.6, r2=1.0, center_distance=2.0)
-    if name == "diamond":
-        return build_table("diamond", square_side=2.0, corner_radius=0.5)
-    if name == "flower":
-        return build_table("flower", components=regular_flower_components(4, 2.0))
-    if name == "semi":
-        return build_table("semi_dispersing", width=2.0, height=1.0,
-                           centers=[(1.0, 0.5)], radii=[0.3])
-    if name == "two_scatterer":
-        return build_table("sinai_torus", centers=[(0.3, 0.3), (0.75, 0.7)],
-                           radii=[0.15, 0.1])
-    if name == "open_sinai":
-        return build_table("sinai_torus", centers=[(0.5, 0.5)], radii=[0.05])
-    if name == "thin_sinai":
-        return build_table("sinai_torus", centers=[(0.5, 0.5)], radii=[0.01])
-    raise KeyError(name)
+from helpers import CLASSES, make, observed, reference_family, tangent_map
 
 
 SEEDS = {
@@ -187,8 +162,6 @@ FROZEN_DF = {
 # by the last frozen step (earlier steps sit orders of magnitude tighter)
 TRACE_TOL = {"sinai": 1e-4, "stadium": 1e-12, "squash": 1e-12,
              "diamond": 1e-9, "flower": 1e-10, "semi": 1e-10}
-
-CLASSES = list(SEEDS)
 
 
 def tangent_at(table, s, phi):
@@ -496,6 +469,16 @@ def test_step_working_set_does_not_grow_with_width():
     assert eight <= 1.25 * two, (two, eight)
 
 
+def test_torus_working_set_does_not_grow_with_flights():
+    """A wide torus step holds one chunk's temporaries too, however far its
+    corridor flights walk: at 8 chunks, the r = 0.01 torus (mean flight
+    about 50) holds at most 1.25 times what the r = 0.2 torus (about 2.2)
+    holds beyond its outputs."""
+    sinai = _excess_peak(make("sinai"), 8 * dynamics._CHUNK)
+    thin = _excess_peak(make("thin_sinai"), 8 * dynamics._CHUNK)
+    assert thin <= 1.25 * sinai, (sinai, thin)
+
+
 def _reference_unfold(table, px, py, dx, dy, guard, tau, comp):
     """The unit-cell walk one cell per iteration, as the kernel did it before
     the block walk, frozen here as its reference: the same Amanatides-Woo
@@ -545,21 +528,20 @@ def _reference_search(table, px, py, dx, dy, guard):
     return tau, comp, ox, oy, np.flatnonzero(overflow)
 
 
-def _block_ends(blocks):
-    """Cells tested once each of the walk's first `blocks` blocks is done."""
-    ends, tested, size = [], 0, dynamics._BLOCK_FIRST
-    for _ in range(blocks):
-        tested += size
-        ends.append(tested)
-        size = min(2 * size, dynamics._BLOCK_CAP)
-    return ends
+def _walk_blocks(table, s, phi):
+    """(b, walking lanes) of every block the torus walk takes in one
+    step_batch call of lanes (s, phi), read off _dda_block's calls."""
+    blocks = []
+    dda_block = dynamics._dda_block
 
+    def spy(b, tmaxx, *rest):
+        blocks.append((b, tmaxx.size))
+        return dda_block(b, tmaxx, *rest)
 
-# a limit of L tests L cells, the own one included, so L = end stops right
-# at a block's end and L = end + 1, end + 2 open one more block; seven
-# blocks (4 cells doubling to 128) reach two blocks at the cap
-UNFOLD_LIMITS = sorted({1, 2, 3, 1000} | {end + 1 + d for end in _block_ends(7)
-                                          for d in (-1, 0, 1)})
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(dynamics, "_dda_block", spy)
+        step_batch(table, s, phi)
+    return blocks
 
 
 def _same_bytes(a, b):
@@ -592,23 +574,49 @@ def test_block_steps_follow_the_one_cell_walk():
 
 
 @pytest.mark.parametrize("name", ["sinai", "two_scatterer", "thin_sinai"])
-def test_block_walk_matches_reference_walk(name, monkeypatch):
+def test_block_walk_matches_reference_walk(name):
     """step_batch under the block walk and under the one-cell walk agree
-    byte for byte, at every limit around the block ends: lanes that hit,
-    lanes that overflow and the offset their untested last step leaves."""
+    byte for byte, at every limit around the block ends the walk itself
+    takes: lanes that hit, lanes that overflow and the offset their untested
+    last step leaves.  20000 lanes walk blocks that the chunk bounds, 244
+    lanes blocks that double freely."""
     table = make(name)
-    s, phi = SrbSampler(table, 1, 1).sample(20000)
-    overflowed = set()
-    for limit in UNFOLD_LIMITS:
-        monkeypatch.setattr(dynamics, "UNFOLD_MAX_CELLS", limit)
-        block = step_batch(table, s, phi)
-        with monkeypatch.context() as m:
-            m.setattr(dynamics, "_unfold", _reference_search)
-            reference = step_batch(table, s, phi)
-        assert _same_bytes(block, reference), limit
-        if np.any(block[4] == FLAG_UNFOLD):
-            overflowed.add(limit)
-    assert {1, 2, 3} <= overflowed
+    for n in (20000, 244):
+        s, phi = SrbSampler(table, 1, 1).sample(n)
+        ends = np.cumsum([b for b, _ in _walk_blocks(table, s, phi)])
+        # a limit of L tests L cells, the own one included, so L = end
+        # stops right at a block's end and end - 1, end + 1 one cell short
+        # of it and one past it
+        limits = sorted({1, 2, 3, 1000} | {int(end) + d for end in ends
+                                           for d in (-1, 0, 1)} - {0, 1001})
+        overflowed = set()
+        for limit in limits:
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(dynamics, "UNFOLD_MAX_CELLS", limit)
+                block = step_batch(table, s, phi)
+                m.setattr(dynamics, "_unfold", _reference_search)
+                reference = step_batch(table, s, phi)
+            assert _same_bytes(block, reference), (n, limit)
+            if np.any(block[4] == FLAG_UNFOLD):
+                overflowed.add(limit)
+        assert {1, 2, 3} <= overflowed, n
+
+
+def test_walk_blocks_fit_one_chunk():
+    """A walk block holds at most _CHUNK lane-cells however many lanes walk
+    and however far: one 2e5-lane step of the r = 0.01 torus and one of the
+    r = 0.2 torus.  244 walking lanes never fill a chunk, so their blocks
+    double from 4 cells."""
+    for name in ("thin_sinai", "sinai"):
+        table = make(name)
+        s, phi = SrbSampler(table, 5).sample(200_000)
+        blocks = _walk_blocks(table, s, phi)
+        assert max(b * lanes for b, lanes in blocks) <= dynamics._CHUNK, name
+    table = make("sinai")
+    s, phi = SrbSampler(table, 1, 1).sample(244)
+    sizes = [b for b, _ in _walk_blocks(table, s, phi)]
+    assert len(sizes) >= 5
+    assert sizes == [4 * 2**k for k in range(len(sizes))], sizes
 
 
 @pytest.mark.parametrize("name", ["sinai", "two_scatterer", "stadium"])

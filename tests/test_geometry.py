@@ -17,7 +17,7 @@ from openbilliards import (
 from openbilliards.geometry import CircularArc, locate_batch
 
 import scalar_validator
-from helpers import flat, loop, reference_family
+from helpers import CLASSES, flat, loop, make, reference_family
 
 
 def sinai(r=0.2):
@@ -228,17 +228,9 @@ def test_open_chain_rejected():
 # --------------------------------------------------------------- validation
 
 def test_standard_tables_validate_clean():
-    tables = [
-        sinai(),
-        build_table("stadium", flat_length=2.0),
-        # a flat whose squared length underflows to 0
-        build_table("stadium", flat_length=1.0e-320),
-        build_table("squash", r1=0.6, r2=1.0, center_distance=2.0),
-        build_table("diamond", square_side=2.0, corner_radius=0.5),
-        build_table("flower", components=regular_flower_components(4, 2.0)),
-        build_table("semi_dispersing", width=2.0, height=1.0,
-                    centers=[(1.0, 0.5)], radii=[0.3]),
-    ]
+    tables = [make(name) for name in CLASSES]
+    # a flat whose squared length underflows to 0
+    tables.append(build_table("stadium", flat_length=1.0e-320))
     for t in tables:
         assert validate_table(t) == [], t.class_tag
 

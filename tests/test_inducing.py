@@ -3,11 +3,7 @@ import pytest
 
 from openbilliards import build_table
 from openbilliards.dynamics import step_batch
-from openbilliards.geometry import (
-    Table,
-    cut_stadium_components,
-    regular_flower_components,
-)
+from openbilliards.geometry import Table, cut_stadium_components
 from openbilliards.inducing import (
     BaseReturns,
     _returns_batch,
@@ -16,30 +12,34 @@ from openbilliards.inducing import (
     sample_base_points,
 )
 
-from helpers import loop, reference_base_mask, reference_family
+from helpers import (
+    class_tables,
+    loop,
+    make,
+    reference_base_mask,
+    reference_family,
+)
 
 
 @pytest.fixture(scope="module")
 def sinai():
-    return build_table("sinai_torus", centers=[(0.5, 0.5)], radii=[0.2])
+    return make("sinai")
 
 
 @pytest.fixture(scope="module")
 def stadium():
     # components: 0 bottom flat, 1 right cap, 2 top flat, 3 left cap
-    return build_table("stadium", flat_length=2.0)
+    return make("stadium")
 
 
 @pytest.fixture(scope="module")
 def flower():
-    return build_table("flower",
-                       components=regular_flower_components(4, 2.0))
+    return make("flower")
 
 
 @pytest.fixture(scope="module")
 def semi():
-    return build_table("semi_dispersing", width=2.0, height=1.0,
-                       centers=[(1.0, 0.5)], radii=[0.3])
+    return make("semi")
 
 
 def members(table, pairs):
@@ -86,19 +86,8 @@ def every_pair(table):
     return now.ravel(), prev.ravel()
 
 
-SIX = {
-    "sinai_torus": dict(centers=[(0.5, 0.5)], radii=[0.2]),
-    "stadium": dict(flat_length=2.0),
-    "squash": dict(r1=0.6, r2=1.0, center_distance=2.0),
-    "diamond": dict(square_side=2.0, corner_radius=0.5),
-    "flower": dict(components=regular_flower_components(4, 2.0)),
-    "semi_dispersing": dict(width=2.0, height=1.0, centers=[(1.0, 0.5)],
-                            radii=[0.3]),
-}
-
-
 def test_base_rule_matches_class_reference():
-    tables = [build_table(tag, **params) for tag, params in SIX.items()]
+    tables = list(class_tables().values())
     tables += reference_family(seed=5, n_stars=1000, n_random=150)
     for table in tables:
         now, prev = every_pair(table)
@@ -119,9 +108,9 @@ BASE_ARRAYS = {
 }
 
 
-@pytest.mark.parametrize("tag", SIX)
+@pytest.mark.parametrize("tag", BASE_ARRAYS)
 def test_base_arrays(tag):
-    table = build_table(tag, **SIX[tag])
+    table = class_tables()[tag]
     always, entry = BASE_ARRAYS[tag]
     assert table.base_always.tolist() == list(map(bool, always))
     assert table.base_entry.tolist() == list(map(bool, entry))

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from openbilliards import build_table, dynamics, make_hole, openstats
+from openbilliards import dynamics, make_hole, openstats
 from openbilliards.dynamics import (
     FLAG_CORNER,
     FLAG_GRAZING,
@@ -19,23 +19,12 @@ from openbilliards.dynamics import (
     FLAG_OK,
     FLAG_UNFOLD,
 )
-from openbilliards.geometry import locate_batch, regular_flower_components
+from openbilliards.geometry import locate_batch
 from openbilliards.inducing import _returns_batch, base_mask
 from openbilliards.measure import SrbSampler
 from openbilliards.openstats import collect_hitting, collect_hitting_family
 
-from helpers import observed
-
-TABLES = {
-    "stadium": lambda: build_table("stadium", flat_length=2.0),
-    "sinai": lambda: build_table("sinai_torus", centers=[(0.5, 0.5)],
-                                 radii=[0.2]),
-    "flower": lambda: build_table(
-        "flower", components=regular_flower_components(4, 2.0)),
-    "semi_dispersing": lambda: build_table(
-        "semi_dispersing", width=2.0, height=1.0, centers=[(1.0, 0.5)],
-        radii=[0.3]),
-}
+from helpers import make, observed
 
 FIELDS = ("hit_orbit", "hit_index", "hit_induced", "censor_step",
           "censor_kind", "final_induced")
@@ -104,9 +93,10 @@ def chunked(table, holes, t_max, n, size):
     return [{f: np.concatenate(v) for f, v in rec.items()} for rec in out]
 
 
-@pytest.mark.parametrize("name", sorted(TABLES))
+@pytest.mark.parametrize("name", [
+    "flower", pytest.param("semi", id="semi_dispersing"), "sinai", "stadium"])
 def test_chunked_march_matches_whole(name, monkeypatch):
-    table = TABLES[name]()
+    table = make(name)
     s, phi = SrbSampler(table, 3).sample(26)
     monkeypatch.setattr(openstats, "SrbSampler", offset_sampler(s, phi))
     monkeypatch.setattr(dynamics, "step_batch",
@@ -136,7 +126,7 @@ def assert_same(data, alone):
 
 
 def test_nested_pass_equals_separate_calls(monkeypatch):
-    table = TABLES["stadium"]()
+    table = make("stadium")
     holes = [make_hole(table, 1.0, r) for r in (0.05, 0.02, 0.01)]
     h0 = math.ceil(1.0 / holes[0].measure)
     h1 = math.ceil(1.0 / holes[1].measure)
@@ -164,7 +154,7 @@ def test_unequal_requests_equal_separate_calls(monkeypatch):
     # requests with their own orbit prefixes and horizons, censored by
     # landing (position plans shift with the batch width); the widest
     # request is short, so lanes past the narrower ones retire early
-    table = TABLES["stadium"]()
+    table = make("stadium")
     big, small = make_hole(table, 1.0, 0.05), make_hole(table, 1.0, 0.02)
     requests = [(big, 60, 0.5), (small, 25, 2.0), (big, 40, 3.0),
                 (small, 7, 1.0), (big, 25, 0.0)]
@@ -200,7 +190,7 @@ def test_family_matches_scalar_orbits(name):
     # an independent reference: each orbit replayed alone by one-lane
     # steps, to each hole's own horizon, its hits read off the hole and
     # its induced counter rebuilt from its components
-    table = TABLES[name]()
+    table = make(name)
     center = {"stadium": 1.0, "sinai": 0.3}[name]
     holes = [make_hole(table, center, r) for r in (0.05, 0.02)]
     family = collect_hitting_family(table, [(h, 8, 1.0) for h in holes], 2)
@@ -226,7 +216,7 @@ def test_family_matches_scalar_orbits(name):
 
 
 def test_orbit_censored_at_injected_step(monkeypatch):
-    table = TABLES["stadium"]()
+    table = make("stadium")
     clean, step, _ = observed(table, 0.3, 0.2, 40)
     assert step == 41
     real = dynamics.step_batch
@@ -239,7 +229,7 @@ def test_orbit_censored_at_injected_step(monkeypatch):
 
 
 def test_return_time_censored_at_injected_step(monkeypatch):
-    table = TABLES["stadium"]()
+    table = make("stadium")
     # component 1 of the stadium is an arc: arriving from a flat is an entry
     s, phi, comp = np.array([3.0]), np.array([0.2]), np.array([1])
     assert table.components[1].kind == "arc"

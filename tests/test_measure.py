@@ -3,22 +3,23 @@ import math
 import numpy as np
 import pytest
 
-from openbilliards import build_table
 from openbilliards.measure import (
     SrbSampler,
     invariance_defect,
     ks_statistic,
 )
 
+from helpers import make
+
 
 @pytest.fixture(scope="module")
 def sinai():
-    return build_table("sinai_torus", centers=[(0.5, 0.5)], radii=[0.2])
+    return make("sinai")
 
 
 @pytest.fixture(scope="module")
 def stadium():
-    return build_table("stadium", flat_length=2.0)
+    return make("stadium")
 
 
 def test_sampler_pinned_first_draws(sinai):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from openbilliards import build_table, ks_statistic, make_hole
+from openbilliards import ks_statistic, make_hole
 from openbilliards.openstats import (
     HittingData,
     collect_hitting,
@@ -14,15 +14,17 @@ from openbilliards.openstats import (
     survival_curve,
 )
 
+from helpers import make
+
 
 @pytest.fixture(scope="module")
 def sinai():
-    return build_table("sinai_torus", centers=[(0.5, 0.5)], radii=[0.2])
+    return make("sinai")
 
 
 @pytest.fixture(scope="module")
 def stadium():
-    return build_table("stadium", flat_length=2.0)
+    return make("stadium")
 
 
 def synth(mu, n_orbits, t_max, hits, censor_step=None, final_induced=None):
